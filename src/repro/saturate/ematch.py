@@ -106,14 +106,22 @@ class EMatcher:
         self.truncated = False
         self._sorts: dict[int, Sort] = {}
         self._best: dict[int, Term] = {}
+        #: ``(find(left), find(right))`` -> the class of ``left o
+        #: right``, as :meth:`_compose_class` built it this round.
+        self._composed: dict[tuple[int, int], int] = {}
+        #: Per-class compose e-nodes, cached only while
+        #: :meth:`match_all` runs (``None`` otherwise).
+        self._compose_cache: dict[int, list[tuple[int, int]]] | None = None
         self.refresh()
 
     def refresh(self) -> None:
-        """Recompute per-class sorts and best terms (call after merges
-        or rebuilds change the class structure)."""
+        """Recompute per-class sorts and best terms and forget the
+        compose memo (call after merges or rebuilds change the class
+        structure; the driver calls it once per round)."""
         self._best = self.egraph.best_terms()
         self._sorts = {cid: sort_of(term)
                        for cid, term in self._best.items()}
+        self._composed.clear()
 
     # -- match enumeration --------------------------------------------------
 
@@ -125,19 +133,35 @@ class EMatcher:
         scheduler passes the currently unbanned rules.  ``class_ids``
         restricts which classes patterns may be *rooted* at — the
         driver's incremental mode passes the dirty-set upward closure;
-        metavariables inside a match still bind any class."""
+        metavariables inside a match still bind any class.
+
+        Nothing changes the graph until the pass returns, so a rule is
+        only tried at the classes holding an e-node of its LHS root
+        operator (every class for a metavariable root), and each
+        class's compose e-nodes are read once per pass."""
         out: list[EMatch] = []
         self._visits = self.max_visits
         self.truncated = False
-        class_ids = (self.egraph.class_ids() if class_ids is None
+        egraph = self.egraph
+        class_ids = (egraph.class_ids() if class_ids is None
                      else sorted(class_ids))
-        for rule in (self.rules if rules is None else rules):
-            if self._visits <= 0:
-                break
-            for cid in class_ids:
+        rooted: dict[str, list[int]] = {}
+        for cid in class_ids:
+            for op in {node[0] for node in egraph.enodes_of(cid)}:
+                rooted.setdefault(op, []).append(cid)
+        self._compose_cache = {}
+        try:
+            for rule in (self.rules if rules is None else rules):
                 if self._visits <= 0:
                     break
-                out.extend(self.match_class(rule, cid))
+                op = rule.lhs.op
+                for cid in (class_ids if op == "meta"
+                            else rooted.get(op, ())):
+                    if self._visits <= 0:
+                        break
+                    out.extend(self.match_class(rule, cid))
+        finally:
+            self._compose_cache = None
         return out
 
     def _spend(self) -> bool:
@@ -284,9 +308,18 @@ class EMatcher:
         return results
 
     def _compose_enodes(self, cid: int) -> list[tuple[int, int]]:
-        return [(child_ids[0], child_ids[1])
-                for op, _, child_ids in self.egraph.enodes_of(cid)
-                if op == "compose"]
+        cache = self._compose_cache
+        if cache is not None:
+            cid = self.egraph.find(cid)
+            found = cache.get(cid)
+            if found is not None:
+                return found
+        found = [(child_ids[0], child_ids[1])
+                 for op, _, child_ids in self.egraph.enodes_of(cid)
+                 if op == "compose"]
+        if cache is not None:
+            cache[cid] = found
+        return found
 
     def _match_chain(self, pfactors: list[Term], cid: int,
                      bindings: dict, allow_suffix: bool,
@@ -436,11 +469,21 @@ class EMatcher:
         ``l1 o (l2 o right)`` is added and merged in — terms enter the
         e-graph in canon form (right-associated chains), so keeping
         that spelling structurally present is what lets later matches
-        and congruences line up with engine-produced forms."""
+        and congruences line up with engine-produced forms.
+
+        Memoized per round on the find-normalized pair: a merge never
+        makes a recorded equality false, and the entry is written
+        before the respelling recurses, so a cyclic class (``id`` after
+        ``id o id`` merged into it) returns at once instead of
+        re-deriving the respelling down to the chain bound."""
         egraph = self.egraph
         left = egraph.find(left)
         right = egraph.find(right)
+        known = self._composed.get((left, right))
+        if known is not None:
+            return egraph.find(known)
         out = egraph.add_enode("compose", None, (left, right))
+        self._composed[(left, right)] = out
         if depth < self.max_chain:
             decomp = self._compose_enodes(left)
             if decomp:

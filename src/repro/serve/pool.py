@@ -52,6 +52,7 @@ from repro.core.errors import KolaError
 from repro.core.terms import Term, abstract_constants
 from repro.parallel.batch import route_of
 from repro.parallel.worker import worker_main
+from repro.serve.protocol import ServeError
 
 #: Default bound on one worker's in-flight requests.
 DEFAULT_QUEUE_DEPTH = 64
@@ -194,7 +195,12 @@ class ServingPool:
         self._flusher.start()
 
     def _spawn(self, slot: int) -> _Worker:
-        """Start a new worker for ``slot`` (registered, not routed)."""
+        """Start a new worker for ``slot`` (registered, not routed).
+
+        Raises:
+            ServeError: the worker could not be started; nothing is
+                registered, so :meth:`close` never waits on it.
+        """
         with self._lock:
             worker_id = self._next_id
             self._next_id += 1
@@ -211,12 +217,16 @@ class ServingPool:
                 target=worker_main,
                 args=(worker_id, task_queue) + args[2:],
                 name=f"serve-worker-{worker_id}", daemon=True)
+        try:
+            runner.start()
+        except (OSError, RuntimeError) as error:  # process/thread limits
+            raise ServeError(f"could not start worker {worker_id} for "
+                             f"slot {slot}: {error}") from error
         worker = _Worker(worker_id, slot, task_queue, runner)
         with self._lock:
             self._by_id[worker_id] = worker
         with self._flush_cond:
             self._buffers[worker_id] = []
-        runner.start()
         return worker
 
     def warmup(self, timeout: float = 60.0) -> bool:

@@ -164,7 +164,7 @@ _SERVING_STAGES: tuple[str, ...] = (
     "iterate(gt @ <age, Kf({c})>, id)",
     "iterate(lt @ <age, Kf({c})>, id)",
     "iterate(Kp(T), id)",
-    "iterate(Kp(T), <id, id>) o iterate(Kp(T), pi1)",
+    "iterate(Kp(T), pi1) o iterate(Kp(T), <id, id>)",
 )
 
 #: Final projection heads (leftmost stage) for serving pipelines.

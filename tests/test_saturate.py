@@ -5,16 +5,22 @@ cost-model memo, and the uncosted-plan (no-db) regression."""
 import pytest
 
 from repro.core.eval import eval_obj
+from repro.core.parser import parse_fun
 from repro.optimizer.cost import CostModel, cost_cache_stats
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.physical import JoinNestPlan
 from repro.rewrite.engine import Engine
+from repro.rewrite.pattern import canon
 from repro.saturate import (Extractor, SaturationBudget, Saturator,
                             extract_best)
+from repro.saturate.egraph import EGraph
+from repro.saturate.ematch import EMatcher
 from repro.schema.generator import (GeneratorConfig, generate_database,
                                     tiny_database)
 from repro.translate.aqua_to_kola import translate_query
 from repro.workloads.hidden_join import HiddenJoinSpec, hidden_join_family
+from tests.regen_golden_saturation import (differences, load, outcomes,
+                                           tier1_queries)
 
 _DB = tiny_database(seed=17)
 
@@ -82,6 +88,67 @@ class TestSaturator:
                               rulebase.group_compiled("saturate"))
         with pytest.raises(ValueError):
             saturator.run([])
+
+
+class TestMatchWork:
+    """Deterministic work counts of the e-matcher; nothing is timed."""
+
+    def test_compose_memo_cuts_cyclic_respelling(self, monkeypatch):
+        """``id``'s class holds ``id o id``, so respelling ``id o age``
+        as ``id o (id o age)`` meets ``id o age`` again: the memo ends
+        the recursion there instead of at the chain bound."""
+        egraph = EGraph()
+        ident = egraph.add(canon(parse_fun("id")))
+        age = egraph.add(canon(parse_fun("age")))
+        egraph.merge(ident, egraph.add(canon(parse_fun("id o id"))))
+        egraph.rebuild()
+        matcher = EMatcher(egraph, [])
+        calls = []
+        add_enode = egraph.add_enode
+
+        def counting(*args):
+            calls.append(args)
+            return add_enode(*args)
+
+        monkeypatch.setattr(egraph, "add_enode", counting)
+        allocated = egraph.enodes_allocated
+        cid = matcher._chain_class((ident, age))
+        assert len(calls) <= 2
+        assert egraph.enodes_allocated - allocated == 2
+        assert egraph.find_enode("compose", None, (ident, age)) \
+            == egraph.find(cid)
+
+    def test_kg1_saturation_add_enode_calls(self, rulebase, queries,
+                                            monkeypatch):
+        """One default-budget KG1 saturation needs about 7k
+        ``add_enode`` calls; many more means chain respellings are
+        being re-derived within a round."""
+        calls = 0
+        add_enode = EGraph.add_enode
+
+        def counting(egraph, *args):
+            nonlocal calls
+            calls += 1
+            return add_enode(egraph, *args)
+
+        monkeypatch.setattr(EGraph, "add_enode", counting)
+        Saturator(Engine(), rulebase.group_compiled("saturate")).run(
+            [queries.kg1])
+        assert calls <= 20_000
+
+    def test_truncated_rounds_are_deterministic_and_sound(
+            self, rulebase, queries, tiny_db):
+        """A pattern-walk budget small enough to cut most rounds of K4
+        still gives the same outcome on every run, and a correct plan."""
+        budget = SaturationBudget(max_match_visits=300)
+        first, second = (
+            Optimizer(rulebase, saturation_budget=budget).optimize(
+                queries.k4, tiny_db, search="saturate")
+            for _ in range(2))
+        assert first.saturation.match_truncations > 0
+        assert first.saturation == second.saturation
+        assert first.best_term is second.best_term
+        assert first.execute(tiny_db) == eval_obj(queries.k4, tiny_db)
 
 
 class TestExtraction:
@@ -192,6 +259,18 @@ class TestOptimizerSaturate:
         saturate = opt.optimize(queries.kg1, db, search="saturate")
         assert saturate.estimated_cost <= greedy.estimated_cost
         assert saturate.saturation.budget_hit == "enodes"
+
+
+class TestGoldenOutcomes:
+    def test_saturation_outcomes_match_golden(self, rulebase):
+        """The paper's KOLA queries, KG1 and the depth-1 hidden-join
+        family keep their chosen term, plan, cost, extraction frontier
+        and report.  After an intentional change, regenerate with
+        ``PYTHONPATH=src python -m tests.regen_golden_saturation``."""
+        fresh = outcomes(tier1_queries(), rulebase)
+        pinned = load()["queries"]
+        assert differences(fresh, pinned) == []
+        assert fresh == pinned
 
 
 class TestPlanCache:

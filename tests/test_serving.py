@@ -223,6 +223,22 @@ class TestServingPool:
         pool.close()          # must not race the in-flight reply away
         assert replies and replies[0][0] == "ok"
 
+    def test_failed_spawn_is_a_serve_error(self, monkeypatch):
+        """A worker that cannot be started is never registered:
+        ``start`` raises ServeError and ``close`` has nothing of it to
+        join."""
+        from multiprocessing.context import SpawnProcess
+
+        def refuse(process):
+            raise OSError("cannot fork")
+
+        monkeypatch.setattr(SpawnProcess, "start", refuse)
+        pool = ServingPool(workers=1, backend="process")
+        with pytest.raises(ServeError, match="could not start worker"):
+            pool.start()
+        pool.close()
+        assert pool.worker_ids() == []
+
 
 # -- a live daemon (thread backend) ------------------------------------------
 
@@ -510,6 +526,13 @@ class TestServingCorpus:
     def test_validates_input(self):
         with pytest.raises(ValueError):
             serving_corpus(0)
+
+    def test_every_query_evaluates(self, tiny_db):
+        """Each stage maps Persons to Persons, so every pipeline is
+        well typed (the pairing stage pairs first, then projects)."""
+        from repro.core.eval import run_query
+        for query in serving_corpus(400):
+            run_query(query, tiny_db)
 
     def test_zipf_stream_is_skewed_and_deterministic(self):
         queries = serving_corpus(50, seed=3)
