@@ -12,7 +12,7 @@ import pytest
 
 from repro.larch.checker import RuleChecker
 from repro.larch.report import pool_report, render_report
-from repro.rules.basic import PAPER_LITERAL_RULE_7
+from repro.rules.refutable import PAPER_LITERAL_RULE_7
 from benchmarks.conftest import banner
 
 

@@ -16,8 +16,11 @@ from repro.core.eval import eval_obj
 from repro.core.parser import parse_pred
 from repro.larch.checker import RuleChecker
 from repro.rewrite.pattern import instantiate
-from repro.rules.aggregates import COUNT_BUG, COUNT_UNNEST
+from repro.rules.refutable import COUNT_BUG
+from repro.rules.registry import standard_rulebase
 from benchmarks.conftest import banner, sized_db
+
+COUNT_UNNEST = standard_rulebase().get("count-unnest")
 
 
 def _bindings():

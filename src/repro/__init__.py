@@ -16,7 +16,8 @@ depends on:
 * :mod:`repro.rewrite` — the declarative rule language: patterns,
   matching, rules, strategies, derivation traces;
 * :mod:`repro.rules` — the paper's rules 1-24 plus an extended pool, all
-  machine-verified;
+  machine-verified, loaded from the ``.kpack`` rule packs of
+  :mod:`repro.rulepacks`;
 * :mod:`repro.larch` — the Larch-prover substitute (randomized
   model-checking of rule soundness);
 * :mod:`repro.coko` — COKO rule blocks and the five-step hidden-join

@@ -609,6 +609,7 @@ def cmd_decompile(args) -> int:
 
 def cmd_serve(args) -> int:
     import asyncio
+    import signal
 
     from repro.serve import PlanServer
     from repro.serve.daemon import DEFAULT_PORT
@@ -628,6 +629,11 @@ def cmd_serve(args) -> int:
                            if args.queue_depth is not None else {}))
 
     async def _run() -> None:
+        # SIGTERM takes Ctrl-C's path: asyncio.run answers SIGINT by
+        # cancelling this task, whose ``finally`` stops the server (the
+        # workers exit and the socket file goes).
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel)
         await server.start()
         where = []
         if host is not None:
@@ -650,7 +656,7 @@ def cmd_serve(args) -> int:
 
     try:
         asyncio.run(_run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("\n[serve] shutting down")
     return 0
 

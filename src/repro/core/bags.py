@@ -11,7 +11,7 @@ This module provides the bag value type :class:`KBag`; the bag operators
 live in the signature registry (``tobag``, ``distinct``, ``bag_iterate``,
 ``bag_flat``, ``bag_union``, ``bag_join``) and their semantics in
 :mod:`repro.core.eval`.  The deferred-duplicate-elimination rules are in
-:mod:`repro.rules.bags`.
+the shipped ``bags.kpack`` rule pack.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 The concrete syntax is the pretty printer's output (ASCII paper
 notation), so ``parse_*`` and :func:`repro.core.pretty.pretty`
-round-trip.  The main uses are writing rules compactly (the rule pool in
-:mod:`repro.rules.extended` is authored in this syntax), readable tests,
-and the COKO DSL.
+round-trip.  The main uses are writing rules compactly (every rule of
+the shipped ``.kpack`` packs is authored in this syntax), readable
+tests, and the COKO DSL.
 
 Grammar summary (sort-directed recursive descent with backtracking):
 

@@ -205,7 +205,7 @@ _register("meta", (), Sort.ANY, needs_label=True,
 EXECUTABLE_OPS: frozenset[str] = frozenset(
     name for name in REGISTRY if name != "meta")
 
-#: The comparison predicates and their converses (used by rules/basic.py).
+#: The comparison predicates and their converses (rule 7's family).
 CONVERSES: dict[str, str] = {
     "eq": "eq", "neq": "neq",
     "lt": "gt", "gt": "lt",

@@ -415,30 +415,27 @@ class Optimizer:
         return result
 
     def _make_param_entry(self, result: OptimizedQuery, values: tuple,
-                          mode: str) -> ParamPlanEntry | None:
+                          mode: str) -> ParamPlanEntry:
         """Abstract one cold optimization result into a reusable
-        skeleton entry, or ``None`` if any output form introduced a
-        scalar constant that collides with a binding value (then
-        re-instantiation could not tell the two apart)."""
+        skeleton entry.  The caller has already refused any query whose
+        binding values collide with a constant a rule could introduce
+        (:meth:`_blocked_values`), so every output literal equal to a
+        binding value co-varies with it."""
         skeleton, _ = abstract_constants(result.initial)
-        try:
-            steps = tuple(
-                (step.rule, abstract_with(step.before, values),
-                 abstract_with(step.after, values), step.path)
-                for step in result.derivation.steps)
-            entry = ParamPlanEntry(
-                skeleton=skeleton,
-                simplified=abstract_with(result.simplified, values),
-                untangled=abstract_with(result.untangled, values),
-                chosen=(None if result.chosen is None
-                        else abstract_with(result.chosen, values)),
-                steps=steps,
-                title=result.derivation.title,
-                search=mode,
-                saturation=result.saturation)
-        except Exception:  # pragma: no cover - defensive
-            return None
-        return entry
+        steps = tuple(
+            (step.rule, abstract_with(step.before, values),
+             abstract_with(step.after, values), step.path)
+            for step in result.derivation.steps)
+        return ParamPlanEntry(
+            skeleton=skeleton,
+            simplified=abstract_with(result.simplified, values),
+            untangled=abstract_with(result.untangled, values),
+            chosen=(None if result.chosen is None
+                    else abstract_with(result.chosen, values)),
+            steps=steps,
+            title=result.derivation.title,
+            search=mode,
+            saturation=result.saturation)
 
     def _instantiate_entry(self, entry: ParamPlanEntry, query: object,
                            aqua: AquaExpr | None, initial: Term,
@@ -669,10 +666,10 @@ class Optimizer:
                                 chosen=chosen, saturation=report)
         self._plan_cache.put(key, result, max_size=self.plan_cache_max)
         if param_key is not None:
-            entry = self._make_param_entry(result, values, mode)
-            if entry is not None:
-                self._param_cache.put(param_key, entry,
-                                      max_size=self.PARAM_CACHE_MAX)
+            self._param_cache.put(param_key,
+                                  self._make_param_entry(result, values,
+                                                         mode),
+                                  max_size=self.PARAM_CACHE_MAX)
         return result
 
     def execute(self, query: object, db: Database | None = None,

@@ -136,15 +136,17 @@ class RuleBase:
         Every rule must clear the three-stage admission gate first
         (parse/round-trip, Larch model check, differential-oracle
         mutation run) unless ``verify=False`` — in which case only the
-        stage-1 structural checks implied by construction run.  On
-        success the pack's rules are registered (with their groups) and
-        its group blocks applied; every touched group is
+        checks construction implies and the safety-tag coherence check
+        run.  On success the pack's rules are registered (with their
+        groups) and its group blocks applied; every touched group is
         generation-bumped, so plan and kernel caches invalidate.
 
         Returns the :class:`~repro.rulepacks.gate.GateReport` (or
         ``None`` when ``verify=False``).  Raises
         :class:`~repro.rulepacks.gate.PackRejected` if any rule fails
-        the gate; the rulebase is untouched in that case.
+        the gate, or :class:`~repro.rulepacks.format.PackFormatError`
+        if the pack is malformed or incoherent; the rulebase is
+        untouched in either case.
         """
         from repro.rulepacks import load_pack_into
         return load_pack_into(self, source, gate=gate, verify=verify)

@@ -5,10 +5,9 @@ in the shared parse/pretty surface syntax (:mod:`repro.rulepacks.
 format`); every rule must clear a three-stage admission gate — parse /
 round-trip, Larch model check, differential-oracle run — before
 :meth:`RuleBase.load_pack` registers it (:mod:`repro.rulepacks.gate`).
-The shipped pool is itself distributed as packs
-(:mod:`repro.rulepacks.standard`, regenerated by :mod:`repro.rulepacks.
-export`), and :mod:`repro.rulepacks.mutate` breeds the known-bad
-variants the mutation-escape tests feed back through the gate.
+The shipped packs (:mod:`repro.rulepacks.standard`) are the standard
+pool's only definition, and :mod:`repro.rulepacks.mutate` breeds the
+known-bad variants the mutation-escape tests feed back through the gate.
 """
 
 from __future__ import annotations
@@ -22,17 +21,15 @@ from repro.rulepacks.format import (PackFormatError, PackRule, RulePack,
 from repro.rulepacks.gate import (AdmissionGate, GateConfig, GateReport,
                                   GateRuleResult, PackRejected,
                                   StageResult)
-from repro.rulepacks.standard import (PACK_SPECS, apply_pack,
-                                      build_rulebase, load_standard_packs,
-                                      packs_dir, standard_pack_paths)
+from repro.rulepacks.standard import (apply_packs, load_standard_packs,
+                                      standard_pack_paths)
 
 __all__ = [
     "AdmissionGate", "GateConfig", "GateReport", "GateRuleResult",
-    "PACK_SPECS", "PackFormatError", "PackRejected", "PackRule",
-    "RulePack", "StageResult", "apply_pack", "build_rulebase",
-    "coerce_pack", "load_pack_file", "load_pack_into",
-    "load_standard_packs", "packs_dir", "parse_pack_text", "render_pack",
-    "standard_pack_paths",
+    "PackFormatError", "PackRejected", "PackRule", "RulePack",
+    "StageResult", "apply_packs", "coerce_pack", "load_pack_file",
+    "load_pack_into", "load_standard_packs", "parse_pack_text",
+    "render_pack", "standard_pack_paths",
 ]
 
 
@@ -56,9 +53,9 @@ def load_pack_into(base: RuleBase, source, *, gate: AdmissionGate | None,
 
     Gates the pack (unless ``verify=False``), then applies it to a
     working clone and — only on full success — swaps the clone's state
-    into ``base``, so a rejected or malformed pack leaves ``base``
-    untouched.  Generation counters only ever move forward, keeping the
-    cache-invalidation contract intact.
+    into ``base``, so a rejected, malformed or incoherent pack leaves
+    ``base`` untouched.  Generation counters only ever move forward,
+    keeping the cache-invalidation contract intact.
     """
     pack = coerce_pack(source)
     report = None
@@ -68,7 +65,7 @@ def load_pack_into(base: RuleBase, source, *, gate: AdmissionGate | None,
         if not report.ok:
             raise PackRejected(report)
     work = base.clone()
-    apply_pack(work, pack)
+    apply_packs(work, (pack,))
     base._rules = work._rules
     base._groups = work._groups
     base._generations = work._generations

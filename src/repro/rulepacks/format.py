@@ -33,12 +33,11 @@ lines separate blocks, indentation is cosmetic)::
         <rule> ...                         # may resolve across packs
 
 Inline ``groups`` attach the rule to groups *in declaration order* (the
-semantics of :meth:`RuleBase.add`); ``group`` blocks append
-already-declared rules in the block's order (the semantics of
-:meth:`RuleBase.extend_group`) and are applied only after every pack in
-a load set has declared its rules — that distinction is what lets the
-shipped packs reproduce the registry's group ordering exactly, which the
-optimizer's rule-priority behavior depends on.
+semantics of :meth:`RuleBase.add`); ``group`` blocks append rules
+declared in the same pack or in one loaded before it, in the block's
+order (the semantics of :meth:`RuleBase.extend_group`) — that
+distinction is what lets the shipped packs spell each group's priority
+order exactly, which the optimizer's rule-priority behavior depends on.
 
 **Saturation-safety tags** say where a rule may be applied
 automatically:
@@ -56,9 +55,10 @@ tag                       meaning
                           auto-scheduled
 ========================  ====================================================
 
-The loader refuses a pack whose tags and group memberships disagree
-(e.g. a ``strategy-only`` rule in ``simplify``), so the tag is a checked
-promise, not a comment.
+Every load refuses a pack set whose tags and group memberships
+disagree (e.g. a ``strategy-only`` rule in ``simplify``;
+:func:`check_coherence`), gated or not, so the tag is a checked promise,
+not a comment.
 """
 
 from __future__ import annotations
@@ -314,9 +314,9 @@ def _rule_field(draft: _RuleDraft, key: str, rest: str, source: str,
 # -- rendering ---------------------------------------------------------------
 
 def render_pack(pack: RulePack) -> str:
-    """Render a pack back to ``.kpack`` text (the exporter's output
-    format; ``parse_pack_text(render_pack(p))`` is the identity up to
-    the ``source`` field)."""
+    """Render a pack back to ``.kpack`` text
+    (``parse_pack_text(render_pack(p))`` is the identity up to the
+    ``source`` field)."""
     lines = [f"pack {pack.name}", f"version {pack.version}"]
     if pack.description:
         lines.append(f"description {json.dumps(pack.description)}")
@@ -348,6 +348,66 @@ def render_pack(pack: RulePack) -> str:
             lines.append("    " + " ".join(chunk))
     lines.append("")
     return "\n".join(lines)
+
+
+# -- safety-tag coherence ----------------------------------------------------
+
+def _is_exhaustive_group(name: str) -> bool:
+    return any(name == prefix or name.startswith(prefix + "-")
+               for prefix in EXHAUSTIVE_GROUPS)
+
+
+def effective_groups(packs) -> dict[str, set[str]]:
+    """rule name -> every group a load set puts it in (inline fields
+    plus group blocks)."""
+    effective: dict[str, set[str]] = {}
+    for pack in packs:
+        for decl in pack.rules:
+            effective.setdefault(decl.name, set()).update(decl.groups)
+    for pack in packs:
+        for group_name, names in pack.group_blocks:
+            for name in names:
+                effective.setdefault(name, set()).add(group_name)
+    return effective
+
+
+def coherence_problems(decl: PackRule, effective: dict) -> list[str]:
+    """Where ``decl``'s safety tag, guards and groups disagree."""
+    problems = []
+    groups = effective.get(decl.name, set())
+    exhaustive_groups = sorted(g for g in groups if _is_exhaustive_group(g))
+    if decl.safety != "exhaustive" and exhaustive_groups:
+        problems.append(
+            f"safety {decl.safety!r} forbids membership in exhaustive-"
+            f"rewriting group(s) {', '.join(exhaustive_groups)}")
+    if decl.safety == "strategy-only" and "saturate" in groups:
+        problems.append(
+            "safety 'strategy-only' forbids membership in 'saturate'")
+    if decl.preconditions:
+        if decl.safety != "strategy-only":
+            problems.append(
+                "guarded rules must declare safety strategy-only: the "
+                "exhaustive engine and the e-matcher never consult "
+                "precondition oracles")
+        if exhaustive_groups or "saturate" in groups:
+            bad = ", ".join(sorted(
+                set(exhaustive_groups) | ({"saturate"} & groups)))
+            problems.append(
+                f"guarded rule cannot join automatic group(s) {bad}: "
+                "its guard would be silently ignored there")
+    return problems
+
+
+def check_coherence(packs) -> None:
+    """Refuse a load set in which any rule's safety tag disagrees with
+    the groups the set puts it in (:class:`PackFormatError`, naming
+    every offending ``source:line``)."""
+    effective = effective_groups(packs)
+    problems = [f"{pack.source}:{decl.line}: rule {decl.name!r}: {problem}"
+                for pack in packs for decl in pack.rules
+                for problem in coherence_problems(decl, effective)]
+    if problems:
+        raise PackFormatError("\n".join(problems))
 
 
 def load_pack_file(path) -> RulePack:

@@ -51,16 +51,10 @@ from repro.larch.checker import RuleChecker
 from repro.rewrite.pattern import canon
 from repro.rewrite.rule import Rule
 from repro.rewrite.rulebase import RuleBase
-from repro.rulepacks.format import RulePack
+from repro.rulepacks.format import (RulePack, coherence_problems,
+                                    effective_groups)
 
 STAGES = ("parse", "model-check", "oracle")
-
-_EXHAUSTIVE_PREFIXES = ("cleanup", "simplify")
-
-
-def _is_exhaustive_group(name: str) -> bool:
-    return any(name == p or name.startswith(p + "-")
-               for p in _EXHAUSTIVE_PREFIXES)
 
 
 @dataclass(frozen=True)
@@ -250,7 +244,7 @@ class AdmissionGate:
         report = GateReport(
             config=self.config,
             packs=tuple((p.name, p.version, len(p.rules)) for p in packs))
-        effective = _effective_groups(packs)
+        effective = effective_groups(packs)
         for pack in packs:
             for decl in pack.rules:
                 result = GateRuleResult(rule=decl.name, pack=pack.name,
@@ -284,7 +278,7 @@ class AdmissionGate:
                 problems.append(
                     f"{side_name} does not round-trip: {printed!r} "
                     f"re-parses to {pretty(reparsed)!r}")
-        problems.extend(_coherence_problems(decl, effective))
+        problems.extend(coherence_problems(decl, effective))
         if problems:
             result.stages.append(
                 StageResult("parse", "fail", "\n".join(problems)))
@@ -448,44 +442,3 @@ def _steered_weights(built: Rule) -> dict[str, float]:
                if node.op in DEFAULT_WEIGHTS}
     weights.setdefault("const", 3.0)
     return weights
-
-
-def _effective_groups(packs) -> dict[str, set[str]]:
-    """rule name -> every group the pack set puts it in (inline fields
-    plus group blocks)."""
-    effective: dict[str, set[str]] = {}
-    for pack in packs:
-        for decl in pack.rules:
-            effective.setdefault(decl.name, set()).update(decl.groups)
-    for pack in packs:
-        for group_name, names in pack.group_blocks:
-            for name in names:
-                effective.setdefault(name, set()).add(group_name)
-    return effective
-
-
-def _coherence_problems(decl, effective: dict) -> list[str]:
-    """Safety-tag / group-membership / guard coherence (stage 1)."""
-    problems = []
-    groups = effective.get(decl.name, set())
-    exhaustive_groups = sorted(g for g in groups if _is_exhaustive_group(g))
-    if decl.safety != "exhaustive" and exhaustive_groups:
-        problems.append(
-            f"safety {decl.safety!r} forbids membership in exhaustive-"
-            f"rewriting group(s) {', '.join(exhaustive_groups)}")
-    if decl.safety == "strategy-only" and "saturate" in groups:
-        problems.append(
-            "safety 'strategy-only' forbids membership in 'saturate'")
-    if decl.preconditions:
-        if decl.safety != "strategy-only":
-            problems.append(
-                "guarded rules must declare safety strategy-only: the "
-                "exhaustive engine and the e-matcher never consult "
-                "precondition oracles")
-        if exhaustive_groups or "saturate" in groups:
-            bad = ", ".join(sorted(
-                set(exhaustive_groups) | ({"saturate"} & groups)))
-            problems.append(
-                f"guarded rule cannot join automatic group(s) {bad}: "
-                "its guard would be silently ignored there")
-    return problems

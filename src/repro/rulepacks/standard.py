@@ -1,37 +1,33 @@
-"""The shipped rule packs: manifest, loading, and rulebase assembly.
+"""The shipped rule packs: the standard pool's only definition.
 
-The entire standard pool (every rule :func:`repro.rules.registry.
-standard_rulebase` registers) ships a second time as ``.kpack`` files
-under :func:`packs_dir` — proving the declarative format is *total* over
-the existing rules, and giving the admission gate a fixed corpus to run
-against in CI.  ``tests/test_rulepack_gate.py`` pins that the rulebase
-assembled from these files is identical, rule-for-rule and
-group-order-for-group-order, to the Python-registered one.
+Every rule :func:`repro.rules.registry.standard_rulebase` registers is
+declared once, as data, in a ``.kpack`` file in the ``packs/`` directory
+next to this module; no Python module restates it.  To change the
+pool, edit a pack, gate it (``python -m repro.cli rulepack check
+--standard``) and regenerate the rules catalog
+(``docs/rule-authoring.md``).
 
-Pack partition (one pack per rule module, mirroring ``src/repro/rules``):
+Pack partition:
 
-==================  =========================  ==========================
-pack file           defining registry group    contents
-==================  =========================  ==========================
-``fig4.kpack``      ``fig4``                   Figure 4 sidebar rules 1-12
-``fig5.kpack``      ``fig5``                   Figure 5 rules 13-16
-``companions.kpack``  ``companions``           unnumbered identities
-``hidden-join.kpack`` ``fig8``                 Figure 8 rules 17-24 (+17b)
-``bags.kpack``      ``bags``                   bag algebra
-``lists.kpack``     ``lists``                  list algebra
-``aggregates.kpack``  ``aggregates``           aggregates
-``extended.kpack``  ``pool``                   the extended pool
-``groups.kpack``    —                          ordered group blocks for
-                                               the derived groups
-                                               (``cleanup``, ``simplify``,
-                                               ``saturate``, ...)
-==================  =========================  ==========================
+======================  ==================================================
+pack file               contents
+======================  ==================================================
+``fig4.kpack``          Figure 4 sidebar rules 1-12
+``fig5.kpack``          Figure 5 rules 13-16
+``companions.kpack``    unnumbered identities the derivations use silently
+``hidden-join.kpack``   Figure 8 rules 17-24 (+17b, 22b)
+``bags.kpack``          bag algebra
+``lists.kpack``         list algebra
+``aggregates.kpack``    aggregates
+``extended.kpack``      the extended pool (``pool-<family>`` groups)
+``groups.kpack``        ordered group blocks for the derived groups
+                        (``cleanup``, ``simplify``, ``saturate``, ...)
+======================  ==================================================
 
 Groups whose membership order equals the packs' declaration order are
 attached inline on each rule (``groups`` field); every other group —
-the ones the registry builds with :meth:`RuleBase.extend_group` in a
-deliberate priority order — lives as an ordered block in
-``groups.kpack``, which loads last.
+the ones whose order is a deliberate rule priority — lives as an
+ordered block in ``groups.kpack``, which loads last.
 """
 
 from __future__ import annotations
@@ -41,42 +37,25 @@ from pathlib import Path
 from repro.core.errors import KolaError
 from repro.rewrite.rulebase import RuleBase
 from repro.rulepacks.format import (PackFormatError, RulePack,
-                                    load_pack_file)
+                                    check_coherence, load_pack_file)
 
-#: (pack name, defining registry group, description) — partition of the
-#: shipped pool.  Order is load order; ``groups`` must stay last so its
-#: blocks can reference rules from every other pack.
-PACK_SPECS: tuple[tuple[str, str, str], ...] = (
-    ("fig4", "fig4", "Figure 4 sidebar: rules 1-12"),
-    ("fig5", "fig5", "Figure 5: rules 13-16"),
-    ("companions", "companions",
-     "Unnumbered companion identities the derivations use silently"),
-    ("hidden-join", "fig8", "Figure 8 hidden-join rules 17-24 (+ 17b)"),
-    ("bags", "bags", "Bag algebra rules"),
-    ("lists", "lists", "List algebra rules"),
-    ("aggregates", "aggregates", "Aggregate rules"),
-    ("extended", "pool", "The extended rule pool"),
+#: The shipped pack files, in load order: the rule packs' order is the
+#: pool's registration order, and ``groups`` stays last so its blocks
+#: can reference rules from every other pack.
+_PACK_NAMES = (
+    "fig4", "fig5", "companions", "hidden-join", "bags", "lists",
+    "aggregates", "extended", "groups",
 )
-
-#: The group-block pack, loaded after every rule pack.
-GROUPS_PACK = "groups"
-
-
-def packs_dir() -> Path:
-    """Directory holding the shipped ``.kpack`` files."""
-    return Path(__file__).resolve().parent / "packs"
 
 
 def standard_pack_paths() -> tuple[Path, ...]:
     """The shipped pack files, in load order (``groups.kpack`` last)."""
-    directory = packs_dir()
-    names = [name for name, _, _ in PACK_SPECS] + [GROUPS_PACK]
-    paths = tuple(directory / f"{name}.kpack" for name in names)
+    directory = Path(__file__).resolve().parent / "packs"
+    paths = tuple(directory / f"{name}.kpack" for name in _PACK_NAMES)
     missing = [str(p) for p in paths if not p.is_file()]
     if missing:
         raise PackFormatError(
-            "missing shipped pack file(s): " + ", ".join(missing)
-            + " (regenerate with `python -m repro.rulepacks.export`)")
+            "missing shipped pack file(s): " + ", ".join(missing))
     return paths
 
 
@@ -85,41 +64,32 @@ def load_standard_packs() -> tuple[RulePack, ...]:
     return tuple(load_pack_file(path) for path in standard_pack_paths())
 
 
-def apply_pack(base: RuleBase, pack: RulePack) -> None:
-    """Register one parsed pack's rules and group blocks into ``base``.
+def apply_packs(base: RuleBase, packs) -> None:
+    """Register a load set of parsed packs into ``base``, in order.
 
-    Structural application only — no admission gate.  Rules already
-    registered under the same name are *replaced* (with the cache
-    generation bump :meth:`RuleBase.replace` guarantees); group blocks
-    append in declared order and may reference rules from previously
-    applied packs.
+    Structural application only — no admission gate — but the load set
+    must be coherent (:func:`~repro.rulepacks.format.check_coherence`):
+    a safety tag that disagrees with the rule's groups raises
+    :class:`PackFormatError` before anything is registered.  Rules
+    already registered under the same name are *replaced* (with the
+    cache generation bump :meth:`RuleBase.replace` guarantees); each
+    pack's group blocks append in declared order and may reference
+    rules from previously applied packs.
     """
-    for decl in pack.rules:
-        built = decl.build()
-        if built.name in base:
-            base.replace(built)
-            for group in decl.groups:
-                base.extend_group(group, [built.name])
-        else:
-            base.add(built, decl.groups)
-    for group_name, names in pack.group_blocks:
-        try:
-            base.extend_group(group_name, names)
-        except KolaError as exc:
-            raise PackFormatError(
-                f"{pack.source}: group block {group_name!r}: {exc}"
-            ) from exc
-
-
-def build_rulebase(packs=None) -> RuleBase:
-    """Assemble a fresh :class:`RuleBase` from parsed packs (default:
-    the shipped standard packs), warming the per-group indexes the same
-    way :func:`repro.rules.registry.standard_rulebase` does."""
-    if packs is None:
-        packs = load_standard_packs()
-    base = RuleBase()
+    check_coherence(packs)
     for pack in packs:
-        apply_pack(base, pack)
-    for group_name in base.group_names():
-        base.group_index(group_name)
-    return base
+        for decl in pack.rules:
+            built = decl.build()
+            if built.name in base:
+                base.replace(built)
+                for group in decl.groups:
+                    base.extend_group(group, [built.name])
+            else:
+                base.add(built, decl.groups)
+        for group_name, names in pack.group_blocks:
+            try:
+                base.extend_group(group_name, names)
+            except KolaError as exc:
+                raise PackFormatError(
+                    f"{pack.source}: group block {group_name!r}: {exc}"
+                ) from exc

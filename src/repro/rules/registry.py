@@ -1,169 +1,73 @@
-"""Assembly of the standard rule base.
+"""The standard rule base, assembled from the shipped rule packs.
 
-:func:`standard_rulebase` registers every shipped rule into one
-:class:`~repro.rewrite.rulebase.RuleBase` with the groups the rest of the
-system refers to:
+:func:`standard_rulebase` returns a fresh
+:class:`~repro.rewrite.rulebase.RuleBase` holding every rule the
+``.kpack`` files of :mod:`repro.rulepacks.standard` declare, with the
+groups the rest of the system refers to:
 
 ========================  =====================================================
 group                     contents
 ========================  =====================================================
 ``fig4``                  rules 1-12 (Figure 4 sidebar)
 ``fig5``                  rules 13-16 (Figure 5)
-``fig8``                  rules 17-24 (+ the 17b instance)
+``fig8``                  rules 17-24 (+ the 17b and 22b instances)
 ``companions``            unnumbered identities the derivations use silently
+``bags``, ``lists``       the Section 6 extensions
+``aggregates``            aggregates and the count-bug study
+``pool``                  the full extended pool (``pool-<family>`` partitions
+                          it by family)
+``structural``            pool rules that loop under exhaustive rewriting
+``conditional``           precondition-guarded pool rules
 ``cleanup``               terminating identities safe for exhaustive rewriting
-``simplify``              cleanup + the non-structural extended pool
-``pool``                  the full extended pool
-``conditional``           precondition-guarded rules
+``simplify``              cleanup + the terminating extension and pool rules
 ``pair-to-cross``         the spelling normalizers used after hidden-join step 5
 ``saturate``              the saturation-safe pool for equality-saturation
                           search: simplify + fig8 + pair-to-cross +
                           fig4 + fig5
 ========================  =====================================================
 
-**Saturation safety.**  A rule group is *saturation-safe* when applying
-it inside the budgeted e-graph search is productive: terminating groups
-(``cleanup``, ``simplify``) trivially are, and the hidden-join rules
-are because the e-graph keeps every intermediate form instead of
-committing to one.  The ``_EXPANSIONARY`` pool rules are
-*expansion-only*: sound, but they enlarge terms without bound and only
-burn the e-node budget, so they are excluded from ``saturate`` (and
-from ``simplify``) by default — tag new rules accordingly (see
-``docs/rules-catalog.md``).
+Which automatic groups a rule may join is its pack's *saturation-safety*
+tag — ``exhaustive`` (``cleanup``/``simplify``/``saturate``),
+``saturate-only`` (``saturate``) or ``strategy-only`` (neither) — and
+the loader refuses a pack whose tags and groups disagree
+(:func:`repro.rulepacks.format.check_coherence`).
+
+The packs are parsed and their rules built once per process; every call
+returns a clone that shares those immutable :class:`Rule` objects but
+no group list or generation counter, so bases stay isolated from each
+other.
 """
 
 from __future__ import annotations
 
+import threading
+
 from repro.rewrite.rulebase import RuleBase
-from repro.rules.aggregates import AGGREGATE_RULES
-from repro.rules.bags import BAG_RULES
-from repro.rules.lists import LIST_RULES
-from repro.rules.basic import ALL_BASIC, CLEANUP, COMPANIONS
-from repro.rules.extended import ENTRIES
-from repro.rules.hidden_join import ALL_HIDDEN_JOIN
+from repro.rulepacks.standard import apply_packs, load_standard_packs
+
+_shipped_base: RuleBase | None = None
+_shipped_lock = threading.Lock()
+
+
+def _shipped() -> RuleBase:
+    """The pool as the shipped packs declare it, built on first use.
+
+    Never handed out: callers get clones, so nothing mutates it."""
+    global _shipped_base
+    with _shipped_lock:
+        if _shipped_base is None:
+            base = RuleBase()
+            apply_packs(base, load_standard_packs())
+            _shipped_base = base
+        return _shipped_base
 
 
 def standard_rulebase() -> RuleBase:
     """Build the full standard rule base (fresh instance)."""
-    base = RuleBase()
-
-    for one_rule in ALL_BASIC:
-        groups = []
-        if one_rule.number is not None and one_rule.number <= 12:
-            groups.append("fig4")
-        elif one_rule.number is not None:
-            groups.append("fig5")
-        else:
-            groups.append("companions")
-        base.add(one_rule, groups)
-
-    base.add_all(ALL_HIDDEN_JOIN, ["fig8"])
-    base.add_all(BAG_RULES, ["bags"])
-    base.add_all(LIST_RULES, ["lists"])
-    base.add_all(AGGREGATE_RULES, ["aggregates"])
-
-    for entry in ENTRIES:
-        groups = ["pool", f"pool-{entry.family}"]
-        if entry.rule.preconditions:
-            groups.append("conditional")
-        if entry.structural:
-            groups.append("structural")
-        base.add(entry.rule, groups)
-
-    base.extend_group("cleanup", [r.name for r in CLEANUP] + ["r18"])
-    # NOTE: cross-compose is deliberately NOT cleanup — it merges the
-    # ``(stage >< id)`` factors that the hidden-join rules 22-24 match on.
-    base.extend_group("cleanup", [
-        "cross-id", "proj1-cross", "proj2-cross",
-        "conj-false-left", "conj-false-right",
-        "disj-true-left", "disj-true-right",
-        "disj-false-left", "disj-false-right",
-        "neg-neg", "inv-inv",
-        "inv-lt", "inv-leq", "inv-geq", "inv-eq", "inv-neq", "r7",
-    ])
-
-    base.extend_group("pair-to-cross", [
-        "cross-intro", "cross-intro-left", "cross-intro-right",
-    ])
-
-    base.extend_group("simplify-bags", [
-        "distinct-tobag", "bag-iterate-id", "bag-fusion",
-        "bag-fold-filter-map",
-    ])
-    base.extend_group("simplify-lists", [
-        "to-set-listify", "list-iterate-id", "list-fusion",
-        "list-fold-filter-map",
-    ])
-    base.extend_group("simplify-aggregates", [
-        "count-tobag", "bag-count-map", "plus-comm", "plus-zero",
-        "count-empty",
-    ])
-
-    simplify = [r.name for r in base.group("cleanup")]
-    simplify += [r.name for r in base.group("simplify-bags")]
-    simplify += [r.name for r in base.group("simplify-lists")]
-    simplify += [r.name for r in base.group("simplify-aggregates")]
-    simplify += [entry.rule.name for entry in ENTRIES
-                 if not entry.structural
-                 and not entry.rule.preconditions
-                 and entry.rule.name not in simplify
-                 and entry.rule.name not in _EXPANSIONARY
-                 and entry.rule.name not in _SHAPE_CHANGING]
-    base.extend_group("simplify", simplify)
-
-    # The equality-saturation pool: everything saturation-safe that the
-    # greedy pipeline uses — the terminating simplify group, the
-    # hidden-join rules (17-24: individually expansionary or
-    # shape-changing, which is exactly why greedy sequences them in
-    # blocks and why saturation, which keeps every form, can apply them
-    # freely under an e-node budget), and the pair/cross spelling
-    # normalizers the plan recognizers expect.  ``_EXPANSIONARY`` pool
-    # rules stay out by default: they grow the e-graph without opening
-    # plan shapes; callers wanting them can extend the group (the
-    # generation bump invalidates compiled trees and cached plans).
-    base.extend_group("saturate", [r.name for r in base.group("simplify")])
-    base.extend_group("saturate", [r.name for r in base.group("fig8")])
-    base.extend_group("saturate",
-                      [r.name for r in base.group("pair-to-cross")])
-    # The Figure 4/5 equalities: individually small (no unbounded
-    # growth) and load-bearing — the hidden-join derivation interleaves
-    # them between the fig8 steps, so without them saturation cannot
-    # retrace the untangling from the nested seed alone.
-    base.extend_group("saturate", [r.name for r in base.group("fig4")])
-    base.extend_group("saturate", [r.name for r in base.group("fig5")])
-
+    base = _shipped().clone()
     # Warm the per-group dispatch indexes once: every consumer (the
     # optimizer's simplify pass, COKO strategies, benchmarks) then
     # shares the same head-indexed view of each group.
     for group_name in base.group_names():
         base.group_index(group_name)
     return base
-
-
-#: Sound rules that rewrite the translator's canonical nested shape into
-#: a different (equal) shape the hidden-join blocks no longer recognize.
-#: They stay out of ``simplify`` and are applied deliberately by blocks
-#: such as ``env-free-select``.
-_SHAPE_CHANGING = frozenset({
-    "iter-env-free", "iter-env-free-chain", "iter-map-env-free",
-    "iter-close", "unnest-def", "unnest-map",
-    # object-level application rules: sound, but they "run" parts of the
-    # query, destroying the combinator shapes the plan recognizers and
-    # hidden-join blocks look for
-    "pair-invoke", "cf-invoke", "oplus-test", "inv-test",
-    "unnest-filter-key", "nest-map", "unnest-map-key", "unnest-map-value",
-})
-
-
-#: Pool rules that grow terms left-to-right; excluded from ``simplify``
-#: so exhaustive simplification terminates.
-_EXPANSIONARY = frozenset({
-    "pair-compose", "cf-def", "cp-def", "cp-inv-def", "cf-post",
-    "iterate-flat", "iterate-union", "select-intersect",
-    "select-difference", "join-map-left", "join-map-right",
-    "de-morgan-and", "de-morgan-or", "oplus-conj", "oplus-disj",
-    "oplus-neg", "inv-conj", "inv-disj", "inv-neg", "inv-oplus-cross",
-    "con-post", "conj-assoc", "disj-assoc", "join-comm",
-    "or-over-and-left", "or-over-and-right",
-    "in-union", "in-intersect", "iterate-cond-split",
-})

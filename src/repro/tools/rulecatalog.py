@@ -2,9 +2,10 @@
 
 ``python -m repro.tools.rulecatalog [--output docs/rules-catalog.md]``
 emits a markdown document listing every registered rule — equation,
-paper number, groups, preconditions, direction and notes — grouped the
-way the rule base groups them.  The committed ``docs/rules-catalog.md``
-is regenerated by this script (and a test asserts it is in sync).
+paper number, preconditions, direction, notes, and the pack and
+saturation-safety tag that declare it — grouped the way the rule base
+groups them.  The committed ``docs/rules-catalog.md`` is regenerated by
+this script (and a test asserts it is in sync).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ SECTIONS: list[tuple[str, str]] = [
 
 
 def _render_rule(one_rule: Rule,
-                 saturation_tags: dict[str, str] | None = None,
                  pack_info: dict[str, tuple[str, str]] | None = None) -> str:
     arrow = "&harr;" if one_rule.bidirectional else "&rarr;"
     number = (f" *(paper rule {one_rule.number})*"
@@ -50,9 +50,6 @@ def _render_rule(one_rule: Rule,
         pack_name, safety = info
         lines.append(f"*Pack:* `{pack_name}.kpack` &middot; "
                      f"*safety:* `{safety}`")
-    tag = (saturation_tags or {}).get(one_rule.name)
-    if tag:
-        lines.append(f"*Saturation:* {tag}")
     lines.append("")
     return "\n".join(lines)
 
@@ -65,35 +62,6 @@ def _pack_info() -> dict[str, tuple[str, str]]:
         for decl in pack.rules:
             info[decl.name] = (pack.name, decl.safety)
     return info
-
-
-def _saturation_tags(base: RuleBase) -> dict[str, str]:
-    """Per-rule saturation classification for rules *not* in the
-    default ``saturate`` pool (members of the pool need no tag)."""
-    from repro.rules.registry import _EXPANSIONARY, _SHAPE_CHANGING
-    saturate = {r.name for r in base.group("saturate")}
-    tags: dict[str, str] = {}
-    for one_rule in base.all_rules():
-        if one_rule.name in saturate:
-            continue
-        if one_rule.name in _EXPANSIONARY:
-            tags[one_rule.name] = (
-                "expansion-only — grows terms without bound; excluded "
-                "from the `saturate` pool (it would only burn the "
-                "e-node budget)")
-        elif one_rule.name in _SHAPE_CHANGING:
-            tags[one_rule.name] = (
-                "shape-changing — sound but destroys the combinator "
-                "shapes the plan recognizers match; excluded from the "
-                "`saturate` pool")
-        elif one_rule.preconditions:
-            tags[one_rule.name] = (
-                "precondition-guarded — needs the property oracle, "
-                "which the structural e-matcher does not consult; "
-                "applied only by the engine-side representative pass")
-        else:
-            tags[one_rule.name] = "not in the default `saturate` pool"
-    return tags
 
 
 def generate_catalog(base: RuleBase | None = None) -> str:
@@ -112,38 +80,39 @@ def generate_catalog(base: RuleBase | None = None) -> str:
         "",
         "## Rule packs",
         "",
-        "The whole pool also ships declaratively as `.kpack` rule packs "
-        "(`src/repro/rulepacks/packs/`, regenerated by `python -m "
-        "repro.rulepacks.export`): named, versioned rule groups in the "
-        "surface syntax, each rule carrying its sort, direction, "
-        "preconditions, group memberships and a *saturation-safety* tag "
-        "(`exhaustive`, `saturate-only` or `strategy-only`).  Every "
-        "pack — shipped or user-written — must clear the three-stage "
-        "admission gate (parse/round-trip, model check, differential "
-        "oracle) before `RuleBase.load_pack` registers it; "
-        "`python -m repro.cli rulepack check` runs the gate from the "
-        "command line.  See `docs/rule-authoring.md` for the format and "
-        "the gate's stages; each entry below names its pack and tag.",
+        "The `.kpack` rule packs under `src/repro/rulepacks/packs/` are "
+        "the pool's only definition: named, versioned rule groups in "
+        "the surface syntax, each rule carrying its sort, direction, "
+        "preconditions, group memberships and a *saturation-safety* "
+        "tag.  `standard_rulebase()` (`repro.rules.registry`) loads "
+        "them.  Every pack — shipped or user-written — must clear the "
+        "three-stage admission gate (parse/round-trip, model check, "
+        "differential oracle) before `RuleBase.load_pack` registers "
+        "it; `python -m repro.cli rulepack check` runs the gate from "
+        "the command line.  See `docs/rule-authoring.md` for the "
+        "format, the gate's stages and how to change a rule; each "
+        "entry below names its pack and tag.",
         "",
         "## Saturation safety",
         "",
-        "Equality-saturation search (`repro.saturate`) applies the "
-        "`saturate` group — simplify + the Figure 4/5/8 equalities + "
-        "the pair/cross normalizers — freely under iteration and "
-        "e-node budgets: the e-graph keeps every intermediate form, "
-        "so rules that greedy rewriting must sequence carefully "
-        "(grow-before-payoff derivations) are safe there.  Rules "
-        "**not** in that pool carry a *Saturation:* tag below: "
-        "**expansion-only** rules enlarge terms without bound and "
-        "would only burn the e-node budget, **shape-changing** rules "
-        "destroy the plan-recognizable combinator shapes, and "
-        "**precondition-guarded** rules need the property oracle, "
-        "which only the engine-side representative pass consults.  "
-        "Tag new rules accordingly when registering them "
-        "(`repro.rules.registry`).",
+        "A rule's safety tag says where it may be applied "
+        "automatically, and the loader refuses a pack whose tags and "
+        "groups disagree.  **exhaustive** rules terminate under "
+        "exhaustive rewriting and may join `cleanup`, `simplify` and "
+        "`saturate`.  **saturate-only** rules are expansionary or "
+        "shape-changing under greedy rewriting but productive in "
+        "equality-saturation search (`repro.saturate`), which applies "
+        "the `saturate` group — simplify + the Figure 4/5/8 equalities "
+        "+ the pair/cross normalizers — under iteration and e-node "
+        "budgets: the e-graph keeps every intermediate form, so "
+        "grow-before-payoff derivations are safe there.  "
+        "**strategy-only** rules join neither: they enlarge terms "
+        "without bound, destroy the combinator shapes the plan "
+        "recognizers match, or carry preconditions, which the "
+        "exhaustive engine and the e-matcher never consult; named "
+        "strategies apply them deliberately.",
         "",
     ]
-    tags = _saturation_tags(base)
     packs = _pack_info()
     for group, title in SECTIONS:
         rules = [r for r in base.group(group) if r.name not in seen]
@@ -153,13 +122,13 @@ def generate_catalog(base: RuleBase | None = None) -> str:
         parts.append("")
         for one_rule in rules:
             seen.add(one_rule.name)
-            parts.append(_render_rule(one_rule, tags, packs))
+            parts.append(_render_rule(one_rule, packs))
     leftovers = [r for r in base.all_rules() if r.name not in seen]
     if leftovers:
         parts.append("## Other")
         parts.append("")
         for one_rule in leftovers:
-            parts.append(_render_rule(one_rule, tags, packs))
+            parts.append(_render_rule(one_rule, packs))
     return "\n".join(parts) + "\n"
 
 

@@ -11,9 +11,12 @@ from repro.core.types import INT, infer
 from repro.core.values import KPair, kset
 from repro.larch.checker import RuleChecker
 from repro.rewrite.pattern import instantiate
-from repro.rules.aggregates import (AGGREGATE_RULES, COUNT_BUG,
-                                    COUNT_UNNEST, UNSOUND_COUNT_DISTINCT,
-                                    UNSOUND_SUM_DISTINCT)
+from repro.rules.refutable import (COUNT_BUG, UNSOUND_COUNT_DISTINCT,
+                                   UNSOUND_SUM_DISTINCT)
+from repro.rules.registry import standard_rulebase
+
+_RULEBASE = standard_rulebase()
+COUNT_UNNEST = _RULEBASE.get("count-unnest")
 
 
 class TestAggregateSemantics:
@@ -52,10 +55,10 @@ class TestAggregateSemantics:
 
 
 class TestAggregateRules:
-    @pytest.mark.parametrize("name", [r.name for r in AGGREGATE_RULES])
+    @pytest.mark.parametrize(
+        "name", [r.name for r in _RULEBASE.group("aggregates")])
     def test_rule_sound(self, name):
-        one_rule = next(r for r in AGGREGATE_RULES if r.name == name)
-        report = RuleChecker(trials=60).check(one_rule)
+        report = RuleChecker(trials=60).check(_RULEBASE.get(name))
         assert report.passed, report.counterexample.render()
 
     def test_unsound_aggregate_rules_refuted(self):

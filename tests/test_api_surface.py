@@ -6,7 +6,6 @@ from repro.aqua.analysis import occurs_free_in_lambda_body
 from repro.aqua.terms import Attr, BinCmp, Const, Lam, Var
 from repro.core.errors import KolaError, MatchFailure, PlanError
 from repro.core.parser import parse_obj, parse_query
-from repro.rules.extended import families, pool_rules
 from repro.translate.aqua_to_kola import translate_pred
 from repro.translate.environment import Environment
 
@@ -21,19 +20,22 @@ class TestSmallSurfaces:
         assert not occurs_free_in_lambda_body(lam, "c")  # bound
         assert not occurs_free_in_lambda_body(lam, "q")
 
-    def test_pool_rules_filters_structural(self):
-        everything = pool_rules(include_structural=True)
-        terminating = pool_rules(include_structural=False)
-        assert len(terminating) < len(everything)
-        names = {r.name for r in everything} - {r.name
-                                                for r in terminating}
-        assert "conj-comm" in names
+    def test_pool_rules_filters_structural(self, rulebase):
+        pool = {r.name for r in rulebase.group("pool")}
+        structural = {r.name for r in rulebase.group("structural")}
+        assert structural and structural < pool
+        assert "conj-comm" in structural
+        assert "conj-comm" not in {r.name
+                                   for r in rulebase.group("simplify")}
 
-    def test_families_partition_pool(self):
-        by_family = families()
-        total = sum(len(rules) for rules in by_family.values())
-        assert total == len(pool_rules())
-        assert "join" in by_family and "pair" in by_family
+    def test_families_partition_pool(self, rulebase):
+        families = {name: [r.name for r in rulebase.group(name)]
+                    for name in rulebase.group_names()
+                    if name.startswith("pool-")}
+        members = [name for names in families.values() for name in names]
+        assert sorted(members) == sorted(r.name
+                                         for r in rulebase.group("pool"))
+        assert "pool-join" in families and "pool-pair" in families
 
     def test_translate_pred_standalone(self, tiny_db):
         from repro.core.eval import test_pred as check_pred

@@ -13,8 +13,11 @@ from repro.core.types import INT, bag_t, infer, fun_t, set_t
 from repro.core.values import KPair, kset
 from repro.coko.stdblocks import block_defer_dupelim
 from repro.larch.checker import RuleChecker
-from repro.rules.bags import (BAG_RULES, UNSOUND_BAG_FLAT_TOBAG,
-                              UNSOUND_TOBAG_DISTINCT)
+from repro.rules.refutable import (UNSOUND_BAG_FLAT_TOBAG,
+                                   UNSOUND_TOBAG_DISTINCT)
+from repro.rules.registry import standard_rulebase
+
+_RULEBASE = standard_rulebase()
 
 
 class TestKBag:
@@ -131,10 +134,10 @@ class TestBagTyping:
 
 
 class TestBagRules:
-    @pytest.mark.parametrize("name", [r.name for r in BAG_RULES])
+    @pytest.mark.parametrize("name",
+                             [r.name for r in _RULEBASE.group("bags")])
     def test_rule_sound(self, name):
-        rule = next(r for r in BAG_RULES if r.name == name)
-        report = RuleChecker(trials=80).check(rule)
+        report = RuleChecker(trials=80).check(_RULEBASE.get(name))
         assert report.passed, report.counterexample.render()
 
     def test_unsound_rules_refuted(self):

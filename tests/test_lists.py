@@ -12,7 +12,10 @@ from repro.core.pretty import pretty
 from repro.core.types import INT, infer, list_t
 from repro.core.values import KPair, kset
 from repro.larch.checker import RuleChecker
-from repro.rules.lists import LIST_RULES, UNSOUND_MAP_LISTIFY
+from repro.rules.refutable import UNSOUND_MAP_LISTIFY
+from repro.rules.registry import standard_rulebase
+
+_RULEBASE = standard_rulebase()
 
 
 class TestKList:
@@ -114,10 +117,10 @@ class TestListTyping:
 
 
 class TestListRules:
-    @pytest.mark.parametrize("name", [r.name for r in LIST_RULES])
+    @pytest.mark.parametrize("name",
+                             [r.name for r in _RULEBASE.group("lists")])
     def test_rule_sound(self, name):
-        one_rule = next(r for r in LIST_RULES if r.name == name)
-        report = RuleChecker(trials=80).check(one_rule)
+        report = RuleChecker(trials=80).check(_RULEBASE.get(name))
         assert report.passed, report.counterexample.render()
 
     def test_unsound_map_listify_refuted(self):

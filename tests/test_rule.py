@@ -33,8 +33,8 @@ class TestRuleValidation:
             rule("bad", "$f o id", "$f",
                  preconditions=(Goal("injective", "g"),))
 
-    def test_display_name(self):
-        r = rule("r1", "$f o id", "$f", number=1)
+    def test_display_name(self, rulebase):
+        r = rulebase.get("r1")
         assert r.display_name == "rule 1 (r1)"
         r2 = rule("pair-law", "pi1 o <$f, $g>", "$f")
         assert r2.display_name == "pair-law"

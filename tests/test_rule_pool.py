@@ -12,7 +12,7 @@ from repro.core.errors import VerificationError
 from repro.core.terms import Sort
 from repro.larch.checker import RuleChecker, check_rule
 from repro.rewrite.rule import rule
-from repro.rules.basic import PAPER_LITERAL_RULE_7
+from repro.rules.refutable import PAPER_LITERAL_RULE_7
 from repro.rules.registry import standard_rulebase
 
 _RULEBASE = standard_rulebase()

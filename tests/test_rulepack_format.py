@@ -20,7 +20,7 @@ rule compose-id
     lhs id o $f
     rhs $f
 
-rule eq-inj
+rule demo-eq-inj
     sort pred
     bidirectional no
     requires injective($f)
@@ -28,7 +28,7 @@ rule eq-inj
     rhs eq
 
 group demo-block
-    compose-id eq-inj
+    compose-id demo-eq-inj
 """
 
 
@@ -42,7 +42,7 @@ class TestParse:
 
     def test_rules(self):
         pack = parse_pack_text(GOOD)
-        assert pack.rule_names() == ("compose-id", "eq-inj")
+        assert pack.rule_names() == ("compose-id", "demo-eq-inj")
         first, second = pack.rules
         assert first.number == 1
         assert first.safety == "exhaustive"
@@ -57,7 +57,7 @@ class TestParse:
     def test_group_blocks(self):
         pack = parse_pack_text(GOOD)
         assert pack.group_blocks == (
-            ("demo-block", ("compose-id", "eq-inj")),)
+            ("demo-block", ("compose-id", "demo-eq-inj")),)
 
     def test_group_block_spans_lines(self):
         text = ("pack p\nversion 1\n\nrule r\n    lhs id o $f\n"

@@ -4,13 +4,16 @@ The acceptance bar for the pack subsystem:
 
 * every one of the shipped pool's rules loads from ``.kpack`` text and
   clears the full three-stage gate with **zero** rejections;
-* the shipped pack files round-trip byte-exactly and regenerate in sync
-  with the registry (like ``docs/rules-catalog.md``);
-* a rulebase built *from the packs* is indistinguishable from the
-  Python-registered one — same rules, same group orderings, and
-  bit-identical optimizer behavior on the paper's queries;
-* ``RuleBase.load_pack`` keeps the generation-counter cache contract
-  and leaves the base untouched on rejection;
+* the shipped pack files round-trip byte-exactly;
+* loading the shipped packs one by one through ``RuleBase.load_pack``
+  reproduces ``standard_rulebase()`` — same rules, same group
+  orderings, and bit-identical optimizer behavior on the paper's
+  queries;
+* ``standard_rulebase()`` builds the shipped rules once per process
+  and hands out bases isolated from each other;
+* ``RuleBase.load_pack`` keeps the generation-counter cache contract,
+  refuses a pack whose safety tags and groups disagree, and leaves the
+  base untouched on rejection;
 * gate reports are byte-deterministic (golden file under
   ``tests/golden/``).
 """
@@ -20,12 +23,14 @@ import pathlib
 
 import pytest
 
+from repro.rewrite.rule import rule
 from repro.rewrite.rulebase import RuleBase
-from repro.rulepacks import (AdmissionGate, GateConfig, PackRejected,
-                             build_rulebase, load_pack_file,
-                             load_standard_packs, standard_pack_paths)
-from repro.rulepacks.export import derive_packs
+from repro.rulepacks import (AdmissionGate, GateConfig, PackFormatError,
+                             PackRejected, apply_packs, load_pack_file,
+                             load_standard_packs, parse_pack_text,
+                             standard_pack_paths)
 from repro.rulepacks.format import render_pack
+from repro.rules.registry import standard_rulebase
 
 #: Trimmed gate knobs for the in-suite full-pool run (the CI ``rule-gate``
 #: job uses the heavier defaults); still executes every stage including
@@ -92,27 +97,23 @@ class TestShippedPacksInSync:
             text = path.read_text(encoding="utf-8")
             assert render_pack(load_pack_file(path)) == text, path.name
 
-    def test_packs_regenerate_in_sync(self, rulebase):
-        """The committed .kpack files must be regenerated
-        (``python -m repro.rulepacks.export``) when the registry
-        changes."""
-        derived = {pack.name: pack for pack in derive_packs(rulebase)}
-        shipped = {pack.name: pack for pack in load_standard_packs()}
-        assert set(derived) == set(shipped)
-        for name, pack in derived.items():
-            assert render_pack(pack) == render_pack(shipped[name]), name
-
 
 class TestPackRegistryEquivalence:
+    """The public per-pack path (``RuleBase.load_pack``, as ``repro.cli
+    rulepack load --standard`` uses it) assembles the same pool as
+    ``standard_rulebase()``."""
+
     @pytest.fixture(scope="class")
     def pack_base(self):
-        return build_rulebase()
+        base = RuleBase()
+        for pack in load_standard_packs():
+            base.load_pack(pack, verify=False)
+        return base
 
     @pytest.fixture(scope="class")
     def registry(self):
-        # A private fresh registry: the session-scoped ``rulebase``
-        # fixture is shared suite-wide and other tests may touch it.
-        from repro.rules.registry import standard_rulebase
+        # A private fresh base: the session-scoped ``rulebase`` fixture
+        # is shared suite-wide and other tests may touch it.
         return standard_rulebase()
 
     def test_same_rules(self, pack_base, registry):
@@ -172,6 +173,17 @@ rule inv-gt-is-leq
     rhs leq
 """
 
+INCOHERENT_PACK = """\
+pack incoherent
+version 1
+
+rule demo-id-right
+    safety strategy-only
+    groups simplify saturate
+    lhs $f o id
+    rhs $f
+"""
+
 FAST = GateConfig(trials=20, oracle_probes=2, oracle_queries=1)
 
 
@@ -184,8 +196,8 @@ class TestLoadPack:
         assert "demo-id-left" in base
         assert [r.name for r in base.group("simplify")] == ["demo-id-left"]
 
-    def test_load_invalidates_group_caches(self, rulebase):
-        base = build_rulebase()
+    def test_load_invalidates_group_caches(self):
+        base = standard_rulebase()
         index_before = base.group_index("simplify")
         base.load_pack(SOUND_PACK, verify=False)
         assert base.group_index("simplify") is not index_before
@@ -213,10 +225,69 @@ class TestLoadPack:
         base = RuleBase()
         base.load_pack(SOUND_PACK, verify=False)
         generation = base.generation
-        from repro.rulepacks import PackFormatError
         with pytest.raises(PackFormatError):
             base.load_pack("pack nope\n", verify=False)
         assert base.generation == generation and len(base) == 1
+
+    def test_incoherent_pack_refused_without_gate(self):
+        """The loader itself checks safety tags against groups: a
+        ``strategy-only`` rule cannot join ``simplify`` or ``saturate``
+        even when the gate is skipped."""
+        base = RuleBase()
+        base.load_pack(SOUND_PACK, verify=False)
+        generation = base.generation
+        with pytest.raises(PackFormatError) as excinfo:
+            base.load_pack(INCOHERENT_PACK, verify=False)
+        message = str(excinfo.value)
+        assert "<string>:4: rule 'demo-id-right'" in message
+        assert "exhaustive-rewriting group(s) simplify" in message
+        assert "forbids membership in 'saturate'" in message
+        assert "demo-id-right" not in base
+        assert base.generation == generation
+
+    def test_incoherent_group_block_refused(self):
+        """Coherence is checked over the whole load set, so a group
+        block in a later pack is held to an earlier pack's tags."""
+        rules = INCOHERENT_PACK.replace("    groups simplify saturate\n",
+                                        "")
+        blocks = "pack blocks\nversion 1\n\ngroup simplify\n" \
+                 "    demo-id-right\n"
+        base = RuleBase()
+        with pytest.raises(PackFormatError, match="demo-id-right"):
+            apply_packs(base, (parse_pack_text(rules),
+                               parse_pack_text(blocks)))
+        assert len(base) == 0
+
+
+class TestStandardRulebase:
+    def test_rules_built_once_per_process(self):
+        first, second = standard_rulebase(), standard_rulebase()
+        assert first is not second
+        assert len(first) == len(second) == 179
+        for one_rule in first:
+            assert second.get(one_rule.name) is one_rule
+
+    def test_bases_are_isolated(self):
+        first, second = standard_rulebase(), standard_rulebase()
+        groups = {name: [r.name for r in second.group(name)]
+                  for name in second.group_names()}
+        generations = {name: second.group_generation(name)
+                       for name in second.group_names()}
+        total = second.generation
+
+        first.add(rule("demo-extra", "id o id o $f", "$f"),
+                  ["simplify", "demo-new"])
+        first.extend_group("fig4", ["r13"])
+        first.load_pack(SOUND_PACK, verify=False)
+        assert "demo-extra" in first and "demo-id-left" in first
+
+        assert "demo-extra" not in second and "demo-id-left" not in second
+        assert {name: [r.name for r in second.group(name)]
+                for name in second.group_names()} == groups
+        assert {name: second.group_generation(name)
+                for name in second.group_names()} == generations
+        assert second.generation == total
+        assert "demo-extra" not in standard_rulebase()
 
 
 #: The golden run's config — chosen small but with every stage live.

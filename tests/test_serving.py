@@ -5,11 +5,19 @@ admission control, and graceful worker recycling."""
 from __future__ import annotations
 
 import asyncio
+import os
+import pathlib
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
+
+import repro
 
 from repro.core.parser import parse_obj
 from repro.optimizer.optimizer import Optimizer
@@ -487,6 +495,70 @@ class TestProcessBackend:
             assert stats["workers"] == 2
         finally:
             st.stop()
+
+
+def _children(pid: int) -> list[int]:
+    found = []
+    for task in pathlib.Path(f"/proc/{pid}/task").glob("*/children"):
+        found += [int(one) for one in task.read_text().split()]
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and has not exited (zombies have)."""
+    try:
+        status = pathlib.Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False
+    return "\nState:\tZ" not in status and "\nState:\tX" not in status
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not pathlib.Path(f"/proc/self/task/{os.getpid()}/children").exists(),
+    reason="reads process children from procfs")
+class TestServeCommandSignals:
+    def test_sigterm_stops_cleanly(self, tmp_path):
+        """SIGTERM takes Ctrl-C's shutdown path: the command exits 0,
+        and neither a process it started nor its socket file outlives
+        it."""
+        path = tmp_path / "serve.sock"
+        log = tmp_path / "serve.log"
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        with open(log, "wb") as sink:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve",
+                 "--workers", "1", "--backend", "process",
+                 "--unix-socket", str(path), "--persons", "8",
+                 "--vehicles", "5"],
+                stdout=sink, stderr=subprocess.STDOUT, env=env)
+        try:
+            deadline = time.monotonic() + 120
+            while True:
+                assert process.poll() is None, log.read_text()
+                try:
+                    with ServeClient(unix_path=str(path)) as client:
+                        client.ping()
+                    break
+                except OSError:
+                    assert time.monotonic() < deadline, log.read_text()
+                    time.sleep(0.05)
+            started = _children(process.pid)
+            assert started, "the daemon started no worker"
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0, log.read_text()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        deadline = time.monotonic() + 10
+        while (any(_running(pid) for pid in started)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert not [pid for pid in started if _running(pid)]
+        assert not path.exists()
+        assert "shutting down" in log.read_text()
 
 
 # -- batch-layer drain regression --------------------------------------------
