@@ -13,6 +13,7 @@ declared up front, so a block's correctness reduces to its rules').
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.terms import Term
 from repro.coko.strategy import Context, Strategy
@@ -21,7 +22,7 @@ from repro.rewrite.rulebase import RuleBase
 from repro.rewrite.trace import Derivation
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuleBlock:
     """A named transformation: rules + firing strategy."""
 
@@ -39,11 +40,10 @@ class RuleBlock:
 
     def rules(self, rulebase: RuleBase):
         """The Rule objects this block declares (expanding groups)."""
-        ctx = Context(Engine(), rulebase)
-        return ctx.resolve(self.uses)
+        return rulebase.resolve(self.uses)
 
 
-def run_blocks(blocks: list[RuleBlock], term: Term, rulebase: RuleBase,
+def run_blocks(blocks: Sequence[RuleBlock], term: Term, rulebase: RuleBase,
                engine: Engine | None = None,
                derivation: Derivation | None = None) -> Term:
     """Run a pipeline of blocks in order."""

@@ -19,6 +19,8 @@ no-ops.
 
 from __future__ import annotations
 
+from functools import cache
+
 from repro.core.terms import Term
 from repro.coko.blocks import RuleBlock, run_blocks
 from repro.coko.strategy import Exhaust, Seq
@@ -29,9 +31,13 @@ from repro.rewrite.trace import Derivation
 _CLEANUP = "group:cleanup"
 
 
-def hidden_join_blocks() -> list[RuleBlock]:
-    """The five rule blocks of the untangling strategy, in order."""
-    return [
+@cache
+def hidden_join_blocks() -> tuple[RuleBlock, ...]:
+    """The five rule blocks of the untangling strategy, in order.
+
+    Built once per process and shared, so treat them as read-only; the
+    rule base caches each block's compiled dispatch per generation."""
+    return (
         RuleBlock(
             name="break-up",
             uses=("r17", "r17b", _CLEANUP),
@@ -64,7 +70,7 @@ def hidden_join_blocks() -> list[RuleBlock]:
                          Exhaust(_CLEANUP, "group:pair-to-cross")),
             description="Step 5: fold the remaining iterate stages into "
                         "the join's predicate and function"),
-    ]
+    )
 
 
 def untangle(query: Term, rulebase: RuleBase,

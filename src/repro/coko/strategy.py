@@ -14,19 +14,20 @@ A :class:`Strategy` maps a term to a term inside a :class:`Context`
 
 Rule references are strings: a rule name, ``<name>-rev``, or
 ``group:<group-name>`` which expands to the group's rules in
-registration order.
+registration order.  The rule base resolves them
+(:meth:`~repro.rewrite.rulebase.RuleBase.resolve`) and caches each
+reference tuple's compiled dispatch per rule-base generation, so a
+strategy run many times compiles its rules once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import RewriteError
 from repro.core.terms import Term
 from repro.rewrite.engine import Engine
-from repro.rewrite.rule import Rule
 from repro.rewrite.rulebase import RuleBase
-from repro.rewrite.ruleindex import RuleIndex
 from repro.rewrite.trace import Derivation
 
 
@@ -37,50 +38,18 @@ class Context:
     engine: Engine
     rulebase: RuleBase
     derivation: Derivation | None = None
-    _index_cache: dict = field(default_factory=dict, repr=False)
 
-    def resolve(self, refs: tuple[str, ...]) -> list[Rule]:
-        rules: list[Rule] = []
-        for ref in refs:
-            if ref.startswith("group:"):
-                rules.extend(self.rulebase.group(ref[len("group:"):]))
-            else:
-                rules.append(self.rulebase.get(ref))
-        return rules
-
-    def resolve_index(self, refs: tuple[str, ...]) -> RuleIndex:
-        """Resolve ``refs`` to a dispatch index, cached per context.
-
-        A single ``group:<name>`` reference reuses the rule base's
-        shared per-group index; other shapes get a context-local index
-        (same rules, same priority order as :meth:`resolve`).
-        """
-        index = self._index_cache.get(refs)
-        if index is None:
-            if len(refs) == 1 and refs[0].startswith("group:"):
-                index = self.rulebase.group_index(refs[0][len("group:"):])
-            else:
-                index = RuleIndex(self.resolve(refs))
-            self._index_cache[refs] = index
-        return index
-
-    def resolve_dispatch(self, refs: tuple[str, ...]):
-        """Resolve ``refs`` to the best dispatch structure this
-        context's engine supports: a compiled discrimination tree
-        (shared, generation-tracked, via
-        :meth:`~repro.rewrite.rulebase.RuleBase.group_compiled` for a
-        single group reference), a plain :class:`RuleIndex`, or —
-        for an unindexed engine — the bare rule list.
-        """
-        engine = self.engine
-        if not engine.indexed:
-            return self.resolve(refs)
-        if (engine.compiled and len(refs) == 1
-                and refs[0].startswith("group:")):
-            return self.rulebase.group_compiled(refs[0][len("group:"):])
-        # The engine compiles a RuleIndex on its own (memoized), so
-        # multi-ref shapes still dispatch through the tree.
-        return self.resolve_index(refs)
+    def dispatch(self, refs: tuple[str, ...]):
+        """``refs`` in the best dispatch structure this context's engine
+        supports: the rule base's cached compiled discrimination tree
+        (:meth:`~repro.rewrite.rulebase.RuleBase.resolve_compiled`), its
+        cached :class:`~repro.rewrite.ruleindex.RuleIndex`, or — for an
+        unindexed engine — the bare rule list."""
+        if self.engine.compiled:
+            return self.rulebase.resolve_compiled(refs)
+        if self.engine.indexed:
+            return self.rulebase.resolve_index(refs)
+        return self.rulebase.resolve(refs)
 
 
 class Strategy:
@@ -98,7 +67,7 @@ class Once(Strategy):
     required: bool = False
 
     def run(self, term: Term, ctx: Context) -> Term:
-        (rule,) = ctx.resolve((self.ref,))
+        (rule,) = ctx.rulebase.resolve((self.ref,))
         result = ctx.engine.rewrite_once(term, [rule])
         if result is None:
             if self.required:
@@ -131,7 +100,7 @@ class Exhaust(Strategy):
         self.traversal = traversal
 
     def run(self, term: Term, ctx: Context) -> Term:
-        rules = ctx.resolve_dispatch(self.refs)
+        rules = ctx.dispatch(self.refs)
         return ctx.engine.normalize(term, rules, max_steps=self.max_steps,
                                     strategy=self.traversal,
                                     derivation=ctx.derivation)
@@ -148,7 +117,7 @@ class IfFires(Strategy):
     else_branch: Strategy | None = None
 
     def run(self, term: Term, ctx: Context) -> Term:
-        (rule,) = ctx.resolve((self.ref,))
+        (rule,) = ctx.rulebase.resolve((self.ref,))
         result = ctx.engine.rewrite_once(term, [rule])
         if result is not None:
             if ctx.derivation is not None:
@@ -223,7 +192,7 @@ class Ranked(Strategy):
         self.max_rounds = max_rounds
 
     def run(self, term: Term, ctx: Context) -> Term:
-        rules = ctx.resolve(self.refs)
+        rules = ctx.rulebase.resolve(self.refs)
         current = term
         current_cost = self.objective(current)
         for _ in range(self.max_rounds):

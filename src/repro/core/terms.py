@@ -692,7 +692,8 @@ def instantiate_constants(skeleton: Term, values: tuple) -> Term:
     return rebuilt[skeleton]
 
 
-def abstract_with(term: Term, values: tuple) -> Term:
+def abstract_with(term: Term, values: tuple,
+                  memo: dict[Term, Term] | None = None) -> Term:
     """Abstract ``term`` against an *existing* binding vector: scalar
     literals whose ``(type, value)`` appears in ``values`` become that
     value's slot; every other literal stays concrete.
@@ -703,12 +704,17 @@ def abstract_with(term: Term, values: tuple) -> Term:
     introduced by a rule right-hand side independently of the bindings
     (and stay concrete) — the optimizer's blocked-constant validity
     check rejects the ambiguous overlap up front.
+
+    ``memo`` maps already-abstracted subterms to their results; pass
+    one dict to every call made with the same ``values`` and forms that
+    share subterms (an optimization's derivation steps share nearly
+    all of theirs) walk each shared node once.
     """
     if not values:
         return term
     slot_of = {(type(value), value): index
                for index, value in enumerate(values)}
-    rebuilt: dict[Term, Term] = {}
+    rebuilt: dict[Term, Term] = {} if memo is None else memo
     stack = [term]
     while stack:
         node = stack[-1]

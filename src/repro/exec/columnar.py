@@ -67,10 +67,10 @@ from repro.rewrite.pattern import flatten_compose
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.schema.adt import Database
 
-try:  # pragma: no cover - exercised only where numpy is installed
-    import numpy as _np
-except Exception:  # pragma: no cover - the pure-Python environment
-    _np = None
+#: numpy once :func:`_numpy` has tried to import it (``None`` when it is
+#: not installed); only the columnar backends' filters use it, so no
+#: other process pays for loading it.
+_np = False
 
 #: Cap on cached columns *per database* (LRU over column keys).
 COLUMN_CACHE_MAX = 512
@@ -268,19 +268,32 @@ def columnar_scan(scan: Scan, ops):
     return base, tuple(ops[prefix.consumed:])
 
 
+def _numpy():
+    global _np
+    if _np is False:
+        try:
+            import numpy as _np
+        except ImportError:  # the pure-Python environment
+            _np = None
+    return _np
+
+
 def _vector_mask(filters, values):
     """A combined numpy boolean mask, or ``None`` when vectorization
     cannot be bit-identical to the scalar path."""
-    if _np is None or not values:
+    if not values:
+        return None
+    np = _numpy()
+    if np is None:
         return None
     if all(type(item) is int for item in values):
-        dtype = _np.int64
+        dtype = np.int64
     elif all(type(item) is float for item in values):
-        dtype = _np.float64
+        dtype = np.float64
     else:
         return None
     try:
-        array = _np.asarray(values, dtype=dtype)
+        array = np.asarray(values, dtype=dtype)
     except OverflowError:
         return None
     mask = None

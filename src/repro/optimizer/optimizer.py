@@ -389,27 +389,30 @@ class Optimizer:
 
     # -- parameterized (constant-abstracted) level --------------------------
 
-    def _blocked_values(self) -> frozenset:
+    def _blocked_values(self) -> frozenset | None:
         """Typed ``(type, value)`` scalar constants that make a query
         non-abstractable: literals pinned by any rule plus literals
-        inside declared oracle facts.  A cached skeleton plan would be
-        unsound for a query binding one of these — a guarded rule could
-        fire (or refuse to) based on the value — so such queries are
-        keyed exactly.  Cached per (rulebase generation, fact count);
-        both only grow, so staleness is impossible."""
-        oracle_facts = getattr(self.engine.oracle, "_facts", None) or {}
-        fact_count = sum(len(terms) for terms in oracle_facts.values())
-        stamp = (self.rulebase.generation, fact_count)
+        inside the oracle's declared facts.  A cached skeleton plan
+        would be unsound for a query binding one of these — a guarded
+        rule could fire (or refuse to) based on the value — so such
+        queries are keyed exactly.  ``None`` when the engine's oracle
+        does not list its facts (no ``facts()`` method): then every
+        query is keyed exactly.  Cached per (rulebase generation,
+        facts)."""
+        facts_of = getattr(self.engine.oracle, "facts", None)
+        if facts_of is None:
+            return None
+        facts = facts_of()
+        stamp = (self.rulebase.generation, facts)
         cached = self._blocked_cache
         if cached is not None and cached[0] == stamp:
             return cached[1]
         pinned = set(self.rulebase.scalar_constants())
-        for terms in oracle_facts.values():
-            for fact in terms:
-                for node in fact.subterms():
-                    if (node.op == "lit"
-                            and type(node.label) in ABSTRACTABLE_SCALARS):
-                        pinned.add((type(node.label), node.label))
+        for fact in facts:
+            for node in fact.term.subterms():
+                if (node.op == "lit"
+                        and type(node.label) in ABSTRACTABLE_SCALARS):
+                    pinned.add((type(node.label), node.label))
         result = frozenset(pinned)
         self._blocked_cache = (stamp, result)
         return result
@@ -420,18 +423,24 @@ class Optimizer:
         skeleton entry.  The caller has already refused any query whose
         binding values collide with a constant a rule could introduce
         (:meth:`_blocked_values`), so every output literal equal to a
-        binding value co-varies with it."""
+        binding value co-varies with it.  One memo serves every form:
+        consecutive derivation steps share nearly all their nodes."""
         skeleton, _ = abstract_constants(result.initial)
+        memo: dict[Term, Term] = {}
+
+        def abstract(term: Term) -> Term:
+            return abstract_with(term, values, memo)
+
         steps = tuple(
-            (step.rule, abstract_with(step.before, values),
-             abstract_with(step.after, values), step.path)
+            (step.rule, abstract(step.before), abstract(step.after),
+             step.path)
             for step in result.derivation.steps)
         return ParamPlanEntry(
             skeleton=skeleton,
-            simplified=abstract_with(result.simplified, values),
-            untangled=abstract_with(result.untangled, values),
+            simplified=abstract(result.simplified),
+            untangled=abstract(result.untangled),
             chosen=(None if result.chosen is None
-                    else abstract_with(result.chosen, values)),
+                    else abstract(result.chosen)),
             steps=steps,
             title=result.derivation.title,
             search=mode,
@@ -620,9 +629,8 @@ class Optimizer:
                 # when plan transfer would not be.
                 family = skeleton
                 blocked = self._blocked_values()
-                if blocked and any(pair in blocked
-                                   for pair in ((type(v), v)
-                                                for v in values)):
+                if blocked is None or any((type(v), v) in blocked
+                                          for v in values):
                     self._param_stats["blocked"] += 1
                     skeleton = None
                 else:

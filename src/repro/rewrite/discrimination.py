@@ -48,7 +48,8 @@ order** exactly as with linear and head-indexed dispatch.
 lists the engine's chain-window and invocation-peel phases need, plus a
 **generation number** used by the engine's normal-form cache: every
 compilation gets a fresh generation, so any rule-pool change (a new
-group index in the :class:`~repro.rewrite.rulebase.RuleBase`) silently
+index in the :class:`~repro.rewrite.rulebase.RuleBase`, which compiles
+each rule-reference tuple once per rule-base generation) silently
 invalidates cached normal forms keyed on the old generation.
 """
 

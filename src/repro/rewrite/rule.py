@@ -48,7 +48,15 @@ class Goal:
 
 
 class PropertyOracle(Protocol):
-    """Anything that can decide precondition goals on bound terms."""
+    """Anything that can decide precondition goals on bound terms.
+
+    An oracle may also list the facts it decides from, as a ``facts()``
+    method returning objects with a ``term`` (as
+    :meth:`~repro.rules.preconditions.AnnotationOracle.facts` does).
+    The optimizer serves parameterized (constant-abstracted) plans only
+    under an oracle that does: for any other, a precondition could turn
+    on any constant, so every query is keyed exactly.
+    """
 
     def holds(self, property_name: str, term: Term) -> bool:
         """True when ``property_name`` is established for ``term``."""
@@ -61,6 +69,9 @@ class _NoOracle:
 
     def holds(self, property_name: str, term: Term) -> bool:
         return False
+
+    def facts(self) -> tuple:
+        return ()
 
 
 NO_ORACLE = _NoOracle()

@@ -20,21 +20,26 @@ from repro.rewrite.ruleindex import RuleIndex
 class RuleBase:
     """A registry of rules with named groups.
 
-    Each group also carries a lazily built, cached
-    :class:`~repro.rewrite.ruleindex.RuleIndex` (:meth:`group_index`)
-    and its compiled discrimination tree (:meth:`group_compiled`) so
-    every consumer of a group — the optimizer's simplify pass, COKO
-    strategies, benchmarks — dispatches through one shared index instead
-    of re-deriving it.
+    Rule *references* — a rule name, ``<name>-rev`` or
+    ``group:<name>`` — resolve here (:meth:`resolve`).  Each reference
+    tuple a consumer dispatches through (the optimizer's simplify pass,
+    a COKO ``Exhaust("r17", "r17b", "group:cleanup")``) gets one lazily
+    built :class:`~repro.rewrite.ruleindex.RuleIndex`
+    (:meth:`resolve_index`) and compiled discrimination tree
+    (:meth:`resolve_compiled`), so a rule block compiles its dispatch
+    once, not once per run; :meth:`group_index`/:meth:`group_compiled`
+    are the one-reference case.
 
     **Invalidation contract:** every group has a monotonically
     increasing *generation* (:meth:`group_generation`), bumped whenever
-    the group's membership changes.  The cached index and compiled tree
-    are tagged with the generation they were built from and are rebuilt
-    on the first lookup after a change; the fresh tree gets a fresh
-    process-unique :attr:`~CompiledRuleSet.generation`, which the
-    engine's normal-form cache keys on — so a mutated group can never
-    serve stale cached normal forms.
+    the group's membership changes, and the whole rule base a
+    :attr:`generation` that moves on *any* change.  The cached indexes
+    and compiled trees are tagged with the :attr:`generation` they were
+    built from and are rebuilt on the first lookup after a change; the
+    fresh tree gets a fresh process-unique
+    :attr:`~CompiledRuleSet.generation`, which the engine's normal-form
+    cache keys on — so a changed rule base can never serve stale cached
+    normal forms.
     """
 
     def __init__(self) -> None:
@@ -42,8 +47,8 @@ class RuleBase:
         self._groups: dict[str, list[str]] = {}
         self._generations: dict[str, int] = {}
         self._generation_total = 0
-        self._group_indexes: dict[str, tuple[int, RuleIndex]] = {}
-        self._group_compiled: dict[str, tuple[int, CompiledRuleSet]] = {}
+        #: refs -> [generation, index, compiled tree or None until used]
+        self._dispatch: dict[tuple[str, ...], list] = {}
         self._scalar_constants: tuple[int, frozenset] | None = None
 
     # -- registration -------------------------------------------------------
@@ -54,10 +59,11 @@ class RuleBase:
 
     @property
     def generation(self) -> int:
-        """A monotone counter over *every* membership change in *any*
-        group — the whole-rulebase fingerprint the optimizer's
-        cross-query plan cache keys on (any rule change invalidates
-        cached plans, conservatively)."""
+        """A monotone counter over *every* change: a rule registered or
+        replaced, or any group's membership changed — the
+        whole-rulebase fingerprint the optimizer's cross-query plan
+        cache and the dispatch caches key on (any rule change
+        invalidates them, conservatively)."""
         return self._generation_total
 
     def add(self, one_rule: Rule, groups: Iterable[str] = ()) -> Rule:
@@ -68,6 +74,9 @@ class RuleBase:
         for group in groups:
             self._groups.setdefault(group, []).append(one_rule.name)
             self._bump(group)
+        # Even in no group, a new rule changes what a name reference
+        # (``<name>-rev`` included) and scalar_constants resolve to.
+        self._generation_total += 1
         return one_rule
 
     def add_all(self, some_rules: Iterable[Rule],
@@ -188,29 +197,52 @@ class RuleBase:
             raise RewriteError(f"unknown rule group {name!r}")
         return self._generations.get(name, 0)
 
+    # -- rule references and dispatch ----------------------------------------
+
+    def resolve(self, refs: Iterable[str]) -> list[Rule]:
+        """The rules a sequence of references names, in order: a rule
+        name, ``<name>-rev`` for its reversed reading, or
+        ``group:<name>`` for the group's rules in registration order."""
+        rules: list[Rule] = []
+        for ref in refs:
+            if ref.startswith("group:"):
+                rules.extend(self.group(ref[len("group:"):]))
+            else:
+                rules.append(self.get(ref))
+        return rules
+
+    def _dispatch_entry(self, refs: tuple[str, ...]) -> list:
+        entry = self._dispatch.get(refs)
+        if entry is None or entry[0] != self._generation_total:
+            entry = [self._generation_total,
+                     RuleIndex(self.resolve(refs)), None]
+            self._dispatch[refs] = entry
+        return entry
+
+    def resolve_index(self, refs: tuple[str, ...]) -> RuleIndex:
+        """The cached head-operator :class:`RuleIndex` of ``refs`` (same
+        rules, same priority order as :meth:`resolve`), rebuilt on the
+        first lookup after any change to the rule base."""
+        return self._dispatch_entry(refs)[1]
+
+    def resolve_compiled(self, refs: tuple[str, ...]) -> CompiledRuleSet:
+        """The cached compiled discrimination tree of ``refs`` (see
+        :mod:`repro.rewrite.discrimination`), compiled on first use and
+        rebuilt — with a fresh normal-form-cache generation — after any
+        change to the rule base."""
+        entry = self._dispatch_entry(refs)
+        if entry[2] is None:
+            entry[2] = compiled_ruleset(entry[1])
+        return entry[2]
+
     def group_index(self, name: str) -> RuleIndex:
-        """The cached head-operator :class:`RuleIndex` of group ``name``
-        (same rules, same priority order as :meth:`group`).  Rebuilt
-        automatically when the group's generation has moved on."""
-        generation = self.group_generation(name)
-        cached = self._group_indexes.get(name)
-        if cached is None or cached[0] != generation:
-            index = RuleIndex(self.group(name))
-            self._group_indexes[name] = (generation, index)
-            return index
-        return cached[1]
+        """:meth:`resolve_index` of the one reference ``group:<name>``."""
+        return self.resolve_index((f"group:{name}",))
 
     def group_compiled(self, name: str) -> CompiledRuleSet:
-        """The cached compiled discrimination tree of group ``name``
-        (see :mod:`repro.rewrite.discrimination`), rebuilt — with a
-        fresh normal-form-cache generation — when the group changes."""
-        generation = self.group_generation(name)
-        cached = self._group_compiled.get(name)
-        if cached is None or cached[0] != generation:
-            compiled = compiled_ruleset(self.group_index(name))
-            self._group_compiled[name] = (generation, compiled)
-            return compiled
-        return cached[1]
+        """:meth:`resolve_compiled` of the one reference
+        ``group:<name>``."""
+        return self.resolve_compiled((f"group:{name}",))
 
     def scalar_constants(self) -> frozenset:
         """Every abstractable scalar literal pinned by any registered

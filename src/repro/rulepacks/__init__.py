@@ -13,16 +13,23 @@ known-bad variants the mutation-escape tests feed back through the gate.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.rewrite.rulebase import RuleBase
 from repro.rulepacks.format import (PackFormatError, PackRule, RulePack,
                                     load_pack_file, parse_pack_text,
                                     render_pack)
-from repro.rulepacks.gate import (AdmissionGate, GateConfig, GateReport,
-                                  GateRuleResult, PackRejected,
-                                  StageResult)
 from repro.rulepacks.standard import (apply_packs, load_standard_packs,
                                       standard_pack_paths)
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only
+    from repro.rulepacks.gate import AdmissionGate, GateReport
+
+#: Names served from :mod:`repro.rulepacks.gate`, which (with the Larch
+#: checker it needs) loads on first use: building the standard rule
+#: base never gates anything, so optimizer processes do not pay for it.
+_GATE_NAMES = frozenset({"AdmissionGate", "GateConfig", "GateReport",
+                         "GateRuleResult", "PackRejected", "StageResult"})
 
 __all__ = [
     "AdmissionGate", "GateConfig", "GateReport", "GateRuleResult",
@@ -31,6 +38,13 @@ __all__ = [
     "load_pack_into", "load_standard_packs", "parse_pack_text",
     "render_pack", "standard_pack_paths",
 ]
+
+
+def __getattr__(name: str):
+    if name in _GATE_NAMES:
+        from repro.rulepacks import gate
+        return getattr(gate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def coerce_pack(source) -> RulePack:
@@ -60,6 +74,7 @@ def load_pack_into(base: RuleBase, source, *, gate: AdmissionGate | None,
     pack = coerce_pack(source)
     report = None
     if verify:
+        from repro.rulepacks.gate import AdmissionGate, PackRejected
         gate = gate or AdmissionGate(context=base if len(base) else None)
         report = gate.check(pack)
         if not report.ok:

@@ -128,6 +128,13 @@ class AnnotationOracle:
     def annotations(self, property_name: str) -> frozenset[Term]:
         return frozenset(self._facts.get(property_name, ()))
 
+    def facts(self) -> tuple[Annotation, ...]:
+        """Every declared annotation.  The optimizer reads this to keep
+        queries whose constants appear in a fact out of its
+        parameterized plan cache."""
+        return tuple(Annotation(name, term) for name in sorted(self._facts)
+                     for term in self.annotations(name))
+
     def holds(self, property_name: str, term: Term) -> bool:
         """True when the property is established for ``term`` by an
         annotation or by the inference table (recursively)."""

@@ -230,6 +230,34 @@ class TestParamCache:
         opt.optimize(member, db)
         assert opt.plan_cache_info()["param"]["blocked"] == 1
 
+    def test_oracle_facts_accessor(self):
+        oracle = AnnotationOracle()
+        assert oracle.facts() == () and Engine().oracle.facts() == ()
+        fact = canon(parse_fun("Kf(33)"))
+        oracle.declare("constant", fact)
+        assert [(one.property, one.term) for one in oracle.facts()] \
+            == [("constant", fact)]
+
+    def test_oracle_without_facts_keys_exactly(self, db):
+        """An oracle that does not list its facts might decide a
+        precondition on any constant, so no query is served a skeleton
+        plan: every family member is optimized on its own."""
+
+        class HoldsOnly:
+            def holds(self, property_name, term):
+                return False
+
+        opt = Optimizer(engine=Engine(oracle=HoldsOnly()))
+        family = _family(n=3)
+        for term in family:
+            served = opt.optimize(term, db)
+            cold = Optimizer(abstract_cache=False).optimize(term, db)
+            assert _mismatch(served, cold) == []
+        info = opt.plan_cache_info()
+        assert info["misses"] == len(family)
+        assert info["param"]["hits"] == 0
+        assert info["param"]["blocked"] == len(family)
+
     def test_escape_hatch_disables_param_level(self, db):
         opt = Optimizer(abstract_cache=False)
         for term in _family(n=3):

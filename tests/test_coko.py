@@ -46,14 +46,12 @@ class TestStrategies:
         result = Repeat(Once("r2")).run(term, ctx)
         assert result == parse_fun("age")
 
-    def test_group_reference(self, rulebase, engine):
-        ctx = Context(engine, rulebase)
-        rules = ctx.resolve(("group:fig4",))
+    def test_group_reference(self, rulebase):
+        rules = rulebase.resolve(("group:fig4",))
         assert len(rules) == 12
 
-    def test_rev_reference(self, rulebase, engine):
-        ctx = Context(engine, rulebase)
-        (rev,) = ctx.resolve(("r12-rev",))
+    def test_rev_reference(self, rulebase):
+        (rev,) = rulebase.resolve(("r12-rev",))
         assert rev.name == "r12-rev"
 
 
