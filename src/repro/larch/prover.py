@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.errors import RewriteError
 from repro.core.pretty import pretty
 from repro.core.terms import Term
 from repro.rewrite.engine import Engine
@@ -107,8 +108,10 @@ class EquationalProver:
                     expanded.append(
                         (f"[{rule.number or rule.name}^-1]",
                          rule.reversed()))
-                except Exception:
-                    pass  # reverse drops variables: only usable forward
+                except RewriteError:
+                    # The reverse drops variables or could narrow the
+                    # type: only the forward reading is usable.
+                    pass
         return expanded
 
     def _successors(self, term: Term):

@@ -396,7 +396,7 @@ class Engine:
         candidates = self._as_candidates(rules)
         if self._prunable(term, candidates):
             return None
-        return self._rewrite_at(term, candidates, strategy, (), None)
+        return self._rewrite_at(term, candidates, strategy, (), None, {})
 
     def _prunable(self, node: Term, rules) -> bool:
         """True when no rule in ``rules`` can match anywhere inside
@@ -412,7 +412,8 @@ class Engine:
 
     def _rewrite_at(self, node: Term, rules, strategy: str,
                     path: tuple[int, ...],
-                    resume: tuple[int, ...] | None) -> RewriteResult | None:
+                    resume: tuple[int, ...] | None,
+                    windows: dict) -> RewriteResult | None:
         """First-match scan of ``node``'s subtree.
 
         ``resume`` skips the already-rejected prefix of the traversal:
@@ -420,12 +421,13 @@ class Engine:
         ``resume[0]`` resumes with ``resume[1:]``, and later children
         are scanned in full.  Ancestor nodes on the resume path are
         themselves retried (their subtrees changed under them).  Empty
-        or ``None`` resume is a full scan.
+        or ``None`` resume is a full scan.  ``windows`` is the scan's
+        window table (see :meth:`_window_hits`).
         """
         self.stats.nodes_visited += 1
 
         if strategy == "topdown":
-            hit = self._try_rules(node, rules, path)
+            hit = self._try_rules(node, rules, path, windows)
             if hit is not None:
                 return hit
         start = resume[0] if resume else 0
@@ -435,7 +437,8 @@ class Engine:
             if not child_resume and self._prunable(child, rules):
                 continue
             result = self._rewrite_at(child, rules, strategy,
-                                      path + (index,), child_resume)
+                                      path + (index,), child_resume,
+                                      windows)
             if result is not None:
                 new_args = (node.args[:index] + (result.term,)
                             + node.args[index + 1:])
@@ -443,14 +446,14 @@ class Engine:
                                      result.rule, result.bindings,
                                      result.path)
         if strategy == "bottomup":
-            return self._try_rules(node, rules, path)
+            return self._try_rules(node, rules, path, windows)
         return None
 
-    def _try_rules(self, node: Term, rules,
-                   path: tuple[int, ...]) -> RewriteResult | None:
+    def _try_rules(self, node: Term, rules, path: tuple[int, ...],
+                   windows: dict) -> RewriteResult | None:
         if isinstance(rules, CompiledRuleSet):
             for _, one_rule, new_node, bindings in \
-                    self._iter_compiled_hits(node, rules):
+                    self._iter_compiled_hits(node, rules, windows):
                 return RewriteResult(new_node, one_rule, bindings, path)
             return None
         if isinstance(rules, RuleIndex):
@@ -468,7 +471,8 @@ class Engine:
 
     # -- compiled (discrimination-tree) dispatch -------------------------------
 
-    def _iter_compiled_hits(self, node: Term, compiled: CompiledRuleSet):
+    def _iter_compiled_hits(self, node: Term, compiled: CompiledRuleSet,
+                            windows: dict):
         """Yield ``(position, rule, replacement, bindings)`` for every
         rule that fires *at* ``node``, in priority order.
 
@@ -522,7 +526,8 @@ class Engine:
                         continue
             if node.op == "compose" and one_rule.lhs.op == "compose":
                 if window_state is None:
-                    window_state = self._window_hits(node, compiled)
+                    window_state = self._window_hits(node, compiled,
+                                                     windows)
                 factors, table = window_state
                 outcome = self._consume_windows(one_rule, position,
                                                 factors, table)
@@ -537,23 +542,53 @@ class Engine:
                 if outcome is not None:
                     yield position, one_rule, outcome[0], outcome[1]
 
-    def _window_hits(self, node: Term, compiled: CompiledRuleSet) -> list:
-        """Retrieve every chain window of ``node`` against the trie
-        once, tabulating hits per rule position in window order (the
-        order :meth:`_try_windows` enumerates)."""
-        factors = flatten_compose(node)
+    def _window_hits(self, node: Term, compiled: CompiledRuleSet,
+                     windows: dict) -> list:
+        """Tabulate the trie hits of every chain window of ``node`` per
+        rule position, in window order (the order :meth:`_try_windows`
+        enumerates).
+
+        ``windows`` maps ``(suffix node, length)`` to ``(window, hits)``
+        for one scan.  Every window of a chain suffix is a window of
+        each chain ending in that suffix, so a scan builds and retrieves
+        each window once, not once per enclosing suffix node; entries
+        are never mutated once stored.  The whole chain is never
+        retrieved as a window: the direct match covers it.
+        """
+        suffixes = [node]  # node is canonical: a right-associated chain
+        while suffixes[-1].op == "compose":
+            suffixes.append(suffixes[-1].args[1])
+        factors = [suffix.args[0] for suffix in suffixes[:-1]]
+        factors.append(suffixes[-1])
         count = len(factors)
+        # Right to left, so each window is one compose node over the
+        # next-shorter window (the one starting a factor later).
+        for start in range(count - 2, -1, -1):
+            suffix = suffixes[start]
+            for length in range(2, count - start + 1):
+                key = (suffix, length)
+                if key in windows or (start == 0 and length == count):
+                    continue
+                if start + length == count:
+                    window = suffix
+                else:
+                    tail = (factors[start + 1] if length == 2 else
+                            windows[(suffixes[start + 1], length - 1)][0])
+                    window = Term("compose", (factors[start], tail))
+                # Wildcard hits are dropped: windows are only offered
+                # to compose-headed rules.
+                windows[key] = (window, tuple(
+                    (position, bindings) for position, one_rule, bindings
+                    in compiled.retrieve(window, self.stats)
+                    if one_rule.lhs.op == "compose"))
         table: dict[int, list] = {}
         for start in range(count):
+            suffix = suffixes[start]
             for end in range(start + 2, count + 1):
                 if start == 0 and end == count:
-                    continue  # the direct match already covered it
-                window = build_chain(factors[start:end])
-                for position, one_rule, bindings in \
-                        compiled.retrieve(window, self.stats):
-                    if one_rule.lhs.op != "compose":
-                        continue  # wildcard hit: windows are only
-                        # offered to compose-headed rules
+                    continue
+                window, hits = windows[(suffix, end - start)]
+                for position, bindings in hits:
                     table.setdefault(position, []).append(
                         (start, end, window, bindings))
         return [factors, table]
@@ -676,12 +711,13 @@ class Engine:
             self.stats.nf_cache_misses += 1
         steps_taken: list | None = [] if key is not None else None
         resume: tuple[int, ...] | None = None
+        windows: dict = {}  # this run's window table (_window_hits)
         for step in range(max_steps):
             if self._prunable(current, candidates):
                 return self._nf_finish(key, steps_taken,
                                        NormalizeResult(current, step, True))
             result = self._rewrite_at(current, candidates, strategy, (),
-                                      resume)
+                                      resume, windows)
             if result is None:
                 return self._nf_finish(key, steps_taken,
                                        NormalizeResult(current, step, True))
@@ -697,7 +733,8 @@ class Engine:
         # Cap hit: never memoized (the run may not have converged).
         return NormalizeResult(current, max_steps,
                                self._is_normal_form(current, candidates,
-                                                    strategy, resume))
+                                                    strategy, resume,
+                                                    windows))
 
     def _nf_finish(self, key, steps_taken,
                    outcome: NormalizeResult) -> NormalizeResult:
@@ -713,11 +750,13 @@ class Engine:
         return outcome
 
     def _is_normal_form(self, term: Term, rules, strategy: str,
-                        resume: tuple[int, ...] | None) -> bool:
+                        resume: tuple[int, ...] | None,
+                        windows: dict) -> bool:
         """One probe scan that does not perturb the fire-count stats."""
         if self._prunable(term, rules):
             return True
-        probe = self._rewrite_at(term, rules, strategy, (), resume)
+        probe = self._rewrite_at(term, rules, strategy, (), resume,
+                                 windows)
         if probe is None:
             return True
         self.stats.rewrites -= 1
@@ -770,7 +809,7 @@ class Engine:
         if isinstance(candidates, CompiledRuleSet):
             return [(one_rule, new_node, bindings)
                     for _, one_rule, new_node, bindings
-                    in self._iter_compiled_hits(node, candidates)]
+                    in self._iter_compiled_hits(node, candidates, {})]
         if isinstance(candidates, RuleIndex):
             candidates = candidates.candidates(node.op)
         outcomes: list[tuple[Rule, Term, dict]] = []
@@ -796,7 +835,7 @@ class Engine:
             if self._prunable(term, candidates):
                 return []
             entries: list[tuple[int, int, RewriteResult]] = []
-            self._successors_at(term, candidates, (), entries, [0])
+            self._successors_at(term, candidates, (), entries, [0], {})
             entries.sort(key=lambda entry: (entry[0], entry[1]))
             return [entry[2] for entry in entries]
         results: list[RewriteResult] = []
@@ -806,7 +845,8 @@ class Engine:
 
     def _successors_at(self, node: Term, compiled: CompiledRuleSet,
                        path: tuple[int, ...],
-                       entries: list, counter: list[int]) -> None:
+                       entries: list, counter: list[int],
+                       windows: dict) -> None:
         """Collect ``(rule position, preorder index, result)`` triples
         for every rewrite in ``node``'s subtree, splicing child results
         back into the whole term on the way up (sorting by the triple's
@@ -815,7 +855,7 @@ class Engine:
         preorder = counter[0]
         counter[0] += 1
         for position, one_rule, new_node, bindings in \
-                self._iter_compiled_hits(node, compiled):
+                self._iter_compiled_hits(node, compiled, windows):
             entries.append((position, preorder,
                             RewriteResult(new_node, one_rule, bindings,
                                           path)))
@@ -824,7 +864,7 @@ class Engine:
                 continue
             before = len(entries)
             self._successors_at(child, compiled, path + (index,),
-                                entries, counter)
+                                entries, counter, windows)
             for slot in range(before, len(entries)):
                 rule_pos, pre_index, inner = entries[slot]
                 new_args = (node.args[:index] + (inner.term,)

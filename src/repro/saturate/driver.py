@@ -198,6 +198,12 @@ class Saturator:
         # it — exactly the ban-lift discipline the scheduler already
         # follows for fixpoints.
         carry: set[int] = set()
+        # Run-scoped memos of pure per-term results: a representative's
+        # ``rewrites_at`` outcomes and a ground pair's typed-apply
+        # verdict depend only on the term(s), the rule pool and the
+        # engine's oracle, none of which change during a run.
+        outcomes: dict[Term, list] = {}
+        verdicts: dict[tuple[Term, Term], bool] = {}
 
         for iteration in range(budget.max_iterations):
             if egraph.enodes_allocated - baseline >= budget.max_enodes:
@@ -219,7 +225,7 @@ class Saturator:
             produced: set[str] = set()
             progressed = self._ematch_round(egraph, matcher, report,
                                             budget, active, produced,
-                                            scope, baseline)
+                                            scope, baseline, verdicts)
             if not report.budget_hit and budget.reps_per_class:
                 rep_scope = scope
                 if scope is not None:
@@ -231,8 +237,8 @@ class Saturator:
                     rep_scope = egraph.closure_up(
                         carry | egraph.dirty_classes())
                 progressed |= self._representative_round(
-                    egraph, matcher, report, budget, banned, produced,
-                    rep_scope, baseline)
+                    egraph, report, budget, banned, produced,
+                    rep_scope, baseline, outcomes)
             egraph.rebuild()
             if budget.incremental_match and not banned \
                     and not report.budget_hit \
@@ -282,17 +288,24 @@ class Saturator:
                       budget: SaturationBudget, rules: list,
                       produced: set[str],
                       scope: set[int] | None,
-                      baseline: int) -> bool:
+                      baseline: int,
+                      verdicts: dict[tuple[Term, Term], bool]) -> bool:
         """Match the active ``rules`` against every class (or only the
         ``scope`` classes when incremental matching is on), instantiate
         each RHS as e-nodes, merge.  Rule names that created anything
         new land in ``produced`` (the backoff scheduler's productivity
-        signal).  Returns whether anything changed."""
+        signal).  ``verdicts`` memoizes the typed-apply guard per
+        ground pair.  Returns whether anything changed."""
         progressed = False
         for match in matcher.match_all(rules, class_ids=scope):
             if match.rule.needs_typed_apply:
                 pair = matcher.ground_pair(match)
-                if pair is None or not _typed_apply_ok(*pair):
+                if pair is None:
+                    continue
+                verdict = verdicts.get(pair)
+                if verdict is None:
+                    verdict = verdicts[pair] = _typed_apply_ok(*pair)
+                if not verdict:
                     continue
             new_cid = matcher.instantiate(match)
             if egraph.find(new_cid) != egraph.find(match.cid):
@@ -307,18 +320,22 @@ class Saturator:
             report.match_truncations += 1
         return progressed
 
-    def _representative_round(self, egraph: EGraph, matcher: EMatcher,
+    def _representative_round(self, egraph: EGraph,
                               report: SaturationReport,
                               budget: SaturationBudget,
                               banned: set[str],
                               produced: set[str],
                               scope: set[int] | None,
-                              baseline: int) -> bool:
+                              baseline: int,
+                              outcomes: dict[Term, list]) -> bool:
         """Rewrite sampled member terms through the engine (covers
         oracle preconditions, typed application and peeling — the
         phases the structural e-matcher does not model).  Firings of
         ``banned`` rules are dropped; productive rule names land in
-        ``produced``."""
+        ``produced``.  ``outcomes`` memoizes ``rewrites_at`` per
+        representative; a hit replays its fire counts, as the engine's
+        normal-form cache does."""
+        engine = self.engine
         best = egraph.best_terms()
         class_ids = (egraph.class_ids() if scope is None
                      else sorted({egraph.find(cid) for cid in scope}))
@@ -326,8 +343,14 @@ class Saturator:
         for cid in class_ids:
             for rep in egraph.sample_terms(
                     cid, budget.reps_per_class, best):
-                for rule, new_term, _ in self.engine.rewrites_at(
-                        rep, self.rules):
+                fired = outcomes.get(rep)
+                if fired is None:
+                    fired = outcomes[rep] = engine.rewrites_at(
+                        rep, self.rules)
+                else:
+                    for rule, _, _ in fired:
+                        engine.stats.count_rule(rule.name)
+                for rule, new_term, _ in fired:
                     if rule.name in banned:
                         continue
                     matches.append((cid, rule.name, new_term))

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterator
 
+from repro.core.errors import KolaError
 from repro.core.terms import Term, _label_key
 from repro.rewrite.pattern import canon
 
@@ -51,6 +52,12 @@ from repro.rewrite.pattern import canon
 #: cap (including cyclic classes, which represent infinitely many terms)
 #: report exactly this value.
 COUNT_CAP = 10 ** 18
+
+
+class StaleEGraphError(KolaError):
+    """A read that needs canonical ids ran on an e-graph changed by
+    ``add``, ``add_enode`` or ``merge`` since its last
+    :meth:`EGraph.rebuild`."""
 
 
 def _node_key(op: str, label: Hashable,
@@ -102,6 +109,10 @@ class EGraph:
         #: references it (the upward edges :meth:`closure_up` walks).
         #: Keys and values may be stale; normalized on read.
         self._parents: dict[int, set[int]] = {}
+        #: Whether ``add``, ``add_enode`` or ``merge`` ran since the
+        #: last :meth:`rebuild`; while it is ``False`` every id stored
+        #: in the graph is canonical (see :meth:`require_rebuilt`).
+        self._mutated = False
 
     # -- union-find ---------------------------------------------------------
 
@@ -136,6 +147,7 @@ class EGraph:
         canonical id.  Call :meth:`rebuild` before reading the graph —
         congruence closure is deferred so batches of merges pay for one
         propagation pass."""
+        self._mutated = True
         a, b = self.find(a), self.find(b)
         if a == b:
             return a
@@ -176,6 +188,7 @@ class EGraph:
         """Insert ``term`` (canonicalized) and every subterm; returns the
         canonical id of its e-class.  Idempotent: re-adding a
         represented term is a dictionary probe per new subterm."""
+        self._mutated = True
         term = canon(term)
         pending = [term]
         order: list[Term] = []
@@ -222,6 +235,7 @@ class EGraph:
         and return its class — the e-matcher's instantiation primitive.
         Classes created this way may have no member terms;
         :meth:`best_terms` still covers them through e-node rebuilds."""
+        self._mutated = True
         child_ids = tuple(self.find(child) for child in child_ids)
         key = _node_key(op, label, child_ids)
         cid = self._hashcons.get(key)
@@ -307,6 +321,28 @@ class EGraph:
                     (op, label, canon_children)
                 self._note_parents(cid, canon_children)
             eclass.nodes = rekeyed
+        self._mutated = False
+
+    def require_rebuilt(self) -> None:
+        """Raise :class:`StaleEGraphError` unless the graph is unchanged
+        since its last :meth:`rebuild` — the condition under which
+        :meth:`rebuilt_enodes` and :meth:`rebuilt_lookup` are exact."""
+        if self._mutated:
+            raise StaleEGraphError(
+                "the e-graph changed since its last rebuild(); call "
+                "rebuild() before matching against it")
+
+    def rebuilt_enodes(self, cid: int) -> tuple:
+        """:meth:`enodes_of` for a canonical ``cid`` of a rebuilt graph:
+        no ``find``, because :meth:`rebuild` left every stored id
+        canonical."""
+        return tuple(self._classes[cid].nodes.values())
+
+    def rebuilt_lookup(self, op: str, label: Hashable,
+                       child_ids: tuple[int, ...]) -> int | None:
+        """:meth:`find_enode` for canonical ``child_ids`` of a rebuilt
+        graph: one hashcons probe, no ``find``."""
+        return self._hashcons.get(_node_key(op, label, child_ids))
 
     # -- incremental-matching frontier --------------------------------------
 

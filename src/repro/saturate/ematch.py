@@ -109,9 +109,13 @@ class EMatcher:
         #: ``(find(left), find(right))`` -> the class of ``left o
         #: right``, as :meth:`_compose_class` built it this round.
         self._composed: dict[tuple[int, int], int] = {}
-        #: Per-class compose e-nodes, cached only while
-        #: :meth:`match_all` runs (``None`` otherwise).
-        self._compose_cache: dict[int, list[tuple[int, int]]] | None = None
+        #: Compose patterns -> their factor lists, for the matcher's
+        #: lifetime (rule patterns never change).
+        self._factors: dict[Term, list[Term]] = {}
+        #: The pass snapshot, filled lazily while :meth:`match_all`
+        #: runs: each class's e-nodes and its compose children.
+        self._nodes: dict[int, tuple] = {}
+        self._compose_nodes: dict[int, list[tuple[int, int]]] = {}
         self.refresh()
 
     def refresh(self) -> None:
@@ -132,25 +136,28 @@ class EMatcher:
         pass to a subset of the pool — the saturation driver's backoff
         scheduler passes the currently unbanned rules.  ``class_ids``
         restricts which classes patterns may be *rooted* at — the
-        driver's incremental mode passes the dirty-set upward closure;
+        driver's incremental mode passes the dirty-set upward closure
+        (canonical ids, as :meth:`EGraph.closure_up` returns them);
         metavariables inside a match still bind any class.
 
-        Nothing changes the graph until the pass returns, so a rule is
+        The graph must be rebuilt (:class:`StaleEGraphError`
+        otherwise): then every id it stores is canonical, and nothing
+        changes it until the pass returns, so the pass reads each
+        class's e-nodes at most once and calls no ``find``.  A rule is
         only tried at the classes holding an e-node of its LHS root
-        operator (every class for a metavariable root), and each
-        class's compose e-nodes are read once per pass."""
+        operator (every class for a metavariable root)."""
+        egraph = self.egraph
+        egraph.require_rebuilt()
         out: list[EMatch] = []
         self._visits = self.max_visits
         self.truncated = False
-        egraph = self.egraph
         class_ids = (egraph.class_ids() if class_ids is None
                      else sorted(class_ids))
         rooted: dict[str, list[int]] = {}
-        for cid in class_ids:
-            for op in {node[0] for node in egraph.enodes_of(cid)}:
-                rooted.setdefault(op, []).append(cid)
-        self._compose_cache = {}
         try:
+            for cid in class_ids:
+                for op in {node[0] for node in self._enodes(cid)}:
+                    rooted.setdefault(op, []).append(cid)
             for rule in (self.rules if rules is None else rules):
                 if self._visits <= 0:
                     break
@@ -159,9 +166,10 @@ class EMatcher:
                             else rooted.get(op, ())):
                     if self._visits <= 0:
                         break
-                    out.extend(self.match_class(rule, cid))
+                    out.extend(self._match_class(rule, cid))
         finally:
-            self._compose_cache = None
+            self._nodes.clear()
+            self._compose_nodes.clear()
         return out
 
     def _spend(self) -> bool:
@@ -172,29 +180,51 @@ class EMatcher:
         self._visits -= 1
         return True
 
-    def match_class(self, rule: Rule, cid: int) -> list[EMatch]:
+    def _enodes(self, cid: int) -> tuple:
+        """The e-nodes of canonical class ``cid``, read once per pass."""
+        nodes = self._nodes.get(cid)
+        if nodes is None:
+            nodes = self._nodes[cid] = self.egraph.rebuilt_enodes(cid)
+        return nodes
+
+    def _compose_enodes(self, cid: int) -> list[tuple[int, int]]:
+        """The ``(left, right)`` children of ``cid``'s compose e-nodes,
+        once per pass."""
+        found = self._compose_nodes.get(cid)
+        if found is None:
+            found = self._compose_nodes[cid] = [
+                (child_ids[0], child_ids[1])
+                for op, _, child_ids in self._enodes(cid)
+                if op == "compose"]
+        return found
+
+    def _pattern_factors(self, pattern: Term) -> list[Term]:
+        factors = self._factors.get(pattern)
+        if factors is None:
+            factors = self._factors[pattern] = flatten_compose(pattern)
+        return factors
+
+    def _match_class(self, rule: Rule, cid: int) -> list[EMatch]:
         """All matches of ``rule``'s LHS against class ``cid``
         (including prefix-window matches of chain patterns)."""
-        cid = self.egraph.find(cid)
         lhs = rule.lhs
         results: list[EMatch] = []
         if lhs.op == "compose":
             for bindings, suffix in self._match_chain(
-                    flatten_compose(lhs), cid, {}, True, 0):
+                    self._pattern_factors(lhs), cid, {}, True, 0):
                 results.append(EMatch(rule, cid, bindings, suffix))
         else:
             for bindings in self._match_pattern(lhs, cid, {}, 0):
                 results.append(EMatch(rule, cid, bindings))
             if lhs.op == "invoke":
                 results.extend(self._match_peels(rule, cid))
-        return _dedup(results, self.egraph)[:self.max_bindings]
+        return _dedup(results)[:self.max_bindings]
 
     def _match_peels(self, rule: Rule, cid: int) -> list[EMatch]:
         """Invocation peeling over classes: ``(f o g) ! x`` equals
         ``f ! (g ! x)``, so an invoke pattern may match any chain
         *suffix* of the function with the prefix peeled off — mirroring
         the term engine's peel phase."""
-        egraph = self.egraph
         fn_pattern, arg_pattern = rule.lhs.args
         results: list[EMatch] = []
 
@@ -203,7 +233,7 @@ class EMatcher:
             if len(prefix) >= self.max_chain or not self._spend():
                 return
             for left, tail in self._compose_enodes(fn_cid):
-                peeled = prefix + (egraph.find(left),)
+                peeled = prefix + (left,)
                 for part in self._match_pattern(fn_pattern, tail, {}, 1):
                     for full in self._match_pattern(
                             arg_pattern, arg_cid, part, 1):
@@ -211,12 +241,11 @@ class EMatcher:
                                               peel_prefix=peeled))
                         if len(results) >= self.max_bindings:
                             return
-                walk(egraph.find(tail), peeled, arg_cid)
+                walk(tail, peeled, arg_cid)
 
-        for op, _, child_ids in egraph.enodes_of(cid):
+        for op, _, child_ids in self._enodes(cid):
             if op == "invoke":
-                walk(egraph.find(child_ids[0]), (),
-                     egraph.find(child_ids[1]))
+                walk(child_ids[0], (), child_ids[1])
         return results
 
     # -- pattern-vs-class ---------------------------------------------------
@@ -224,7 +253,7 @@ class EMatcher:
     def _sort_ok(self, var_sort: Sort, cid: int) -> bool:
         if var_sort is Sort.ANY:
             return True
-        class_sort = self._sorts.get(self.egraph.find(cid))
+        class_sort = self._sorts.get(cid)
         if class_sort is None or class_sort is Sort.ANY:
             return True
         return class_sort is var_sort
@@ -232,20 +261,17 @@ class EMatcher:
     def _bind(self, bindings: dict, name: str,
               value: Binding) -> dict | None:
         """Extend ``bindings`` with ``name = value``; ``None`` on
-        conflict.  Values are compared as find-normalized class tuples
-        (a single class equals a segment iff the segment's composition
-        e-nodes already exist and land in the same class)."""
-        find = self.egraph.find
-        normalized = (tuple(find(c) for c in value)
-                      if isinstance(value, tuple) else (find(value),))
+        conflict.  Values are compared as class tuples (a single class
+        equals a segment iff the segment's composition e-nodes already
+        exist and land in the same class)."""
+        normalized = value if isinstance(value, tuple) else (value,)
         bound = bindings.get(name)
         if bound is None:
             fresh = dict(bindings)
             fresh[name] = (normalized[0] if len(normalized) == 1
                            else normalized)
             return fresh
-        existing = (tuple(find(c) for c in bound)
-                    if isinstance(bound, tuple) else (find(bound),))
+        existing = bound if isinstance(bound, tuple) else (bound,)
         if existing == normalized:
             return bindings
         collapsed_old = self._probe_chain(existing)
@@ -258,11 +284,9 @@ class EMatcher:
     def _probe_chain(self, cids: tuple[int, ...]) -> int | None:
         """The class of the right-associated composition of ``cids``
         if its compose e-nodes all exist; never allocates."""
-        if len(cids) == 1:
-            return self.egraph.find(cids[0])
         acc: int | None = cids[-1]
         for cid in reversed(cids[:-1]):
-            acc = self.egraph.find_enode("compose", None, (cid, acc))
+            acc = self.egraph.rebuilt_lookup("compose", None, (cid, acc))
             if acc is None:
                 return None
         return acc
@@ -272,8 +296,6 @@ class EMatcher:
         """Bindings under which ``pattern`` matches class ``cid``."""
         if not self._spend():
             return []
-        egraph = self.egraph
-        cid = egraph.find(cid)
         if pattern.op == "meta":
             name, var_sort = pattern.label
             if not self._sort_ok(var_sort, cid):
@@ -282,12 +304,13 @@ class EMatcher:
             return [] if extended is None else [extended]
         if pattern.op == "compose":
             return [b for b, _ in self._match_chain(
-                flatten_compose(pattern), cid, bindings, False, depth)]
+                self._pattern_factors(pattern), cid, bindings, False,
+                depth)]
         if depth > self.max_chain:
             return []
         results: list[dict] = []
         arity = len(pattern.args)
-        for op, label, child_ids in egraph.enodes_of(cid):
+        for op, label, child_ids in self._enodes(cid):
             if (op != pattern.op or label != pattern.label
                     or len(child_ids) != arity):
                 continue
@@ -307,20 +330,6 @@ class EMatcher:
                 break
         return results
 
-    def _compose_enodes(self, cid: int) -> list[tuple[int, int]]:
-        cache = self._compose_cache
-        if cache is not None:
-            cid = self.egraph.find(cid)
-            found = cache.get(cid)
-            if found is not None:
-                return found
-        found = [(child_ids[0], child_ids[1])
-                 for op, _, child_ids in self.egraph.enodes_of(cid)
-                 if op == "compose"]
-        if cache is not None:
-            cache[cid] = found
-        return found
-
     def _match_chain(self, pfactors: list[Term], cid: int,
                      bindings: dict, allow_suffix: bool,
                      depth: int) -> list[tuple[dict, int | None]]:
@@ -330,8 +339,6 @@ class EMatcher:
         ``allow_suffix``) or ``None`` for an exact match."""
         if not self._spend():
             return []
-        egraph = self.egraph
-        cid = egraph.find(cid)
         if depth > self.max_chain:
             return []
         head, rest = pfactors[0], pfactors[1:]
@@ -361,7 +368,7 @@ class EMatcher:
             for left, tail in self._compose_enodes(cid):
                 for extended in self._match_pattern(
                         head, left, bindings, depth + 1):
-                    results.append((extended, egraph.find(tail)))
+                    results.append((extended, tail))
         return results[:self.max_bindings]
 
     def _absorb(self, name: str, var_sort: Sort, rest: list[Term],
@@ -371,8 +378,6 @@ class EMatcher:
         """A bare function metavariable eats 1..n chain factors."""
         if not self._spend():
             return
-        egraph = self.egraph
-        cid = egraph.find(cid)
         if len(taken) >= self.max_chain or len(results) >= self.max_bindings:
             return
         if not rest:
@@ -396,7 +401,7 @@ class EMatcher:
         for left, tail in self._compose_enodes(cid):
             if self._sort_ok(var_sort, left):
                 self._absorb(name, var_sort, rest, tail,
-                             taken + (egraph.find(left),), bindings,
+                             taken + (left,), bindings,
                              allow_suffix, depth + 1, results)
 
     # -- instantiation ------------------------------------------------------
@@ -485,9 +490,10 @@ class EMatcher:
         out = egraph.add_enode("compose", None, (left, right))
         self._composed[(left, right)] = out
         if depth < self.max_chain:
-            decomp = self._compose_enodes(left)
-            if decomp:
-                l2, r2 = decomp[0]
+            decomp = next((kids for op, _, kids in egraph.enodes_of(left)
+                           if op == "compose"), None)
+            if decomp is not None:
+                l2, r2 = decomp
                 inner = self._compose_class(r2, right, depth + 1)
                 alt = egraph.add_enode(
                     "compose", None, (egraph.find(l2), egraph.find(inner)))
@@ -520,7 +526,7 @@ class EMatcher:
         return before, after
 
 
-def _dedup(matches: list[EMatch], egraph: EGraph) -> list[EMatch]:
+def _dedup(matches: list[EMatch]) -> list[EMatch]:
     seen: set[tuple] = set()
     unique: list[EMatch] = []
     for match in matches:

@@ -20,7 +20,9 @@ extraction or plan choice, then review the diff::
 ``--check`` compares the tier-1 set (what ``tests/test_saturate.py``
 compares) and exits 1 on any difference; ``--check --deep`` compares
 the twelve depth 2-4 hidden-join members instead, which are too slow
-for tier-1.
+for tier-1.  Either prints one line per query: its wall time (the
+whole saturate-mode ``optimize`` on a fresh optimizer, reported and
+never compared) and whether its outcome matches.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import argparse
 import dataclasses
 import json
 import pathlib
+import time
 from unittest import mock
 
 from repro.core.pretty import pretty
@@ -101,29 +104,47 @@ def outcome(name: str, term, rulebase, db) -> dict:
             "report": report}
 
 
-def outcomes(queries, rulebase=None) -> list[dict]:
+def outcomes(queries, rulebase=None, timings=None) -> list[dict]:
+    """Every query's outcome; appends each query's wall time in
+    seconds to ``timings`` when given."""
     if rulebase is None:
         rulebase = standard_rulebase()
     db = generate_database(GeneratorConfig(**DATABASE))
+    fresh = []
+    for name, term in queries:
+        begun = time.perf_counter()
+        fresh.append(outcome(name, term, rulebase, db))
+        if timings is not None:
+            timings.append(time.perf_counter() - begun)
     # A JSON round trip, so fresh outcomes compare equal to loaded ones.
-    return json.loads(json.dumps(
-        [outcome(name, term, rulebase, db) for name, term in queries]))
+    return json.loads(json.dumps(fresh))
 
 
 def load() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+#: What :func:`differences` reports when the query lists differ.
+LIST_CHANGED = "the query list differs from the golden file"
+
+
+def changed_fields(fresh: list[dict],
+                   pinned: list[dict]) -> list[list[str]] | None:
+    """Per query, the outcome fields that differ from the pinned ones;
+    ``None`` when the query lists differ."""
+    if [one["name"] for one in fresh] != [one["name"] for one in pinned]:
+        return None
+    return [[key for key in then if now.get(key) != then[key]]
+            for now, then in zip(fresh, pinned)]
+
+
 def differences(fresh: list[dict], pinned: list[dict]) -> list[str]:
     """One line per query whose outcome differs from the pinned one."""
-    lines = []
-    if [one["name"] for one in fresh] != [one["name"] for one in pinned]:
-        return ["the query list differs from the golden file"]
-    for now, then in zip(fresh, pinned):
-        fields = [key for key in then if now.get(key) != then[key]]
-        if fields:
-            lines.append(f"{then['name']}: {', '.join(fields)} changed")
-    return lines
+    changes = changed_fields(fresh, pinned)
+    if changes is None:
+        return [LIST_CHANGED]
+    return [f"{one['name']}: {', '.join(fields)} changed"
+            for one, fields in zip(fresh, changes) if fields]
 
 
 def main(argv=None) -> int:
@@ -138,12 +159,20 @@ def main(argv=None) -> int:
     if args.check:
         key = "deep" if args.deep else "queries"
         queries = deep_queries() if args.deep else tier1_queries()
-        problems = differences(outcomes(queries), load()[key])
-        for line in problems:
-            print(line)
-        print(f"{len(queries)} {key} outcome(s) checked, "
-              f"{len(problems)} differ")
-        return 1 if problems else 0
+        timings: list[float] = []
+        fresh = outcomes(queries, timings=timings)
+        changes = changed_fields(fresh, load()[key])
+        if changes is None:
+            print(LIST_CHANGED)
+            return 1
+        width = max(len(name) for name, _ in queries)
+        for (name, _), fields, seconds in zip(queries, changes, timings):
+            verdict = f"{', '.join(fields)} changed" if fields else "same"
+            print(f"{name:<{width}}  {seconds:7.3f} s  {verdict}")
+        differing = sum(1 for fields in changes if fields)
+        print(f"{len(queries)} {key} outcome(s) checked in "
+              f"{sum(timings):.2f} s, {differing} differ")
+        return 1 if differing else 0
     data = {"database": DATABASE,
             "queries": outcomes(tier1_queries()),
             "deep": outcomes(deep_queries())}

@@ -78,6 +78,24 @@ class TestChainWindows:
         assert (eval_obj(query, tiny_db)
                 == eval_obj(result.term, tiny_db))
 
+    def test_each_window_retrieved_once_per_normalize(self, rulebase):
+        """The scan of a 12-factor chain with no redex visits its 11
+        compose suffixes, and every window of a suffix is a window of
+        the whole chain: one ``normalize`` run retrieves each of the 65
+        distinct windows once, plus the 11 direct views (286 when each
+        suffix retrieved all of its own windows), and the work that
+        decides rewrites is unchanged."""
+        chain = canon(parse_fun(" o ".join(
+            ["age", "name", "city", "addr", "child", "cars"] * 2)))
+        engine = Engine()
+        result = engine.normalize_result(
+            chain, rulebase.group_compiled("simplify"))
+        assert result.term is chain and result.reached_fixpoint
+        stats = engine.stats
+        assert stats.trie_retrievals <= 76
+        assert (stats.rewrites, stats.match_attempts,
+                stats.trie_candidates) == (0, 0, 374)
+
 
 class TestInvokePeeling:
     def test_peel_last_factor(self, engine):

@@ -2,6 +2,8 @@
 optimizer's ``search="saturate"`` mode, the cross-query plan cache, the
 cost-model memo, and the uncosted-plan (no-db) regression."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.eval import eval_obj
@@ -11,9 +13,10 @@ from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.physical import JoinNestPlan
 from repro.rewrite.engine import Engine
 from repro.rewrite.pattern import canon
+from repro.rewrite.rule import rule
 from repro.saturate import (Extractor, SaturationBudget, Saturator,
-                            extract_best)
-from repro.saturate.egraph import EGraph
+                            driver, extract_best)
+from repro.saturate.egraph import EGraph, StaleEGraphError
 from repro.saturate.ematch import EMatcher
 from repro.schema.generator import (GeneratorConfig, generate_database,
                                     tiny_database)
@@ -90,8 +93,112 @@ class TestSaturator:
             saturator.run([])
 
 
+@pytest.fixture(scope="module")
+def kg1_match_work(rulebase, queries):
+    """One bare default-budget KG1 saturation, instrumented: ``find``
+    calls and e-node reads (per pass and class) inside ``match_all``,
+    and every ``rewrites_at`` representative and typed-apply pair."""
+    work = {"finds": 0, "reads": Counter(), "passes": 0,
+            "reps": [], "pairs": []}
+    inside = [False]
+    find, match_all = EGraph.find, EMatcher.match_all
+    rewrites_at, typed_apply_ok = Engine.rewrites_at, driver._typed_apply_ok
+
+    def counting_find(egraph, cid):
+        if inside[0]:
+            work["finds"] += 1
+        return find(egraph, cid)
+
+    def counting_read(accessor):
+        def read(egraph, cid):
+            if inside[0]:
+                work["reads"][work["passes"], cid] += 1
+            return accessor(egraph, cid)
+        return read
+
+    def pass_marking(matcher, *args, **kwargs):
+        work["passes"] += 1
+        inside[0] = True
+        try:
+            return match_all(matcher, *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def recording_rewrites_at(engine, node, rules):
+        work["reps"].append(node)
+        return rewrites_at(engine, node, rules)
+
+    def recording_typed_apply_ok(before, after):
+        work["pairs"].append((before, after))
+        return typed_apply_ok(before, after)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EGraph, "find", counting_find)
+        for name in ("enodes_of", "rebuilt_enodes"):
+            patch.setattr(EGraph, name,
+                          counting_read(getattr(EGraph, name)))
+        patch.setattr(EMatcher, "match_all", pass_marking)
+        patch.setattr(Engine, "rewrites_at", recording_rewrites_at)
+        patch.setattr(driver, "_typed_apply_ok", recording_typed_apply_ok)
+        engine = Engine()
+        run = Saturator(engine, rulebase.group_compiled("saturate")).run(
+            [queries.kg1])
+    return run, engine, work
+
+
 class TestMatchWork:
-    """Deterministic work counts of the e-matcher; nothing is timed."""
+    """Deterministic work counts of the e-matcher and the driver;
+    nothing is timed."""
+
+    def test_match_pass_calls_no_find(self, kg1_match_work):
+        """Right after ``rebuild()`` every stored id is canonical, so
+        the read-only match pass never re-canonicalizes one."""
+        _, _, work = kg1_match_work
+        assert work["passes"] == 8
+        assert work["finds"] == 0
+
+    def test_match_pass_reads_each_class_once(self, kg1_match_work):
+        _, _, work = kg1_match_work
+        assert work["reads"]
+        assert max(work["reads"].values()) == 1
+
+    def test_rewrites_at_once_per_representative(self, kg1_match_work):
+        """The representative rounds resample unchanged classes every
+        round; their outcomes come from the run's memo."""
+        _, _, work = kg1_match_work
+        assert len(work["reps"]) == len(set(work["reps"]))
+
+    def test_typed_apply_once_per_pair(self, kg1_match_work):
+        _, _, work = kg1_match_work
+        assert work["pairs"]
+        assert len(work["pairs"]) == len(set(work["pairs"]))
+
+    def test_memo_hits_keep_fire_counts_and_report(self, kg1_match_work):
+        """Memo hits replay their fire counts, and skipped work changes
+        nothing the run decides."""
+        run, engine, _ = kg1_match_work
+        assert engine.stats.rewrites == 454
+        report = run.report
+        assert (report.iterations, report.enodes, report.classes,
+                report.rewrites_applied, report.merges,
+                report.match_truncations) == (8, 453, 80, 238, 373, 0)
+
+    def test_match_all_needs_a_rebuilt_graph(self):
+        """A merge since the last ``rebuild()`` leaves non-canonical
+        ids behind, which the find-free pass would misread."""
+        egraph = EGraph()
+        chain = egraph.add(canon(parse_fun("age o id")))
+        age = egraph.add(canon(parse_fun("age")))
+        egraph.rebuild()
+        matcher = EMatcher(egraph, [rule("drop-id", "$f o id", "$f")])
+        assert [match.cid for match in matcher.match_all()] == [chain]
+        egraph.merge(chain, age)
+        with pytest.raises(StaleEGraphError):
+            matcher.match_all()
+        egraph.rebuild()
+        matcher.refresh()
+        assert [match.cid for match in matcher.match_all()] \
+            == [egraph.find(age)]
 
     def test_compose_memo_cuts_cyclic_respelling(self, monkeypatch):
         """``id``'s class holds ``id o id``, so respelling ``id o age``
@@ -145,7 +252,10 @@ class TestMatchWork:
             Optimizer(rulebase, saturation_budget=budget).optimize(
                 queries.k4, tiny_db, search="saturate")
             for _ in range(2))
-        assert first.saturation.match_truncations > 0
+        report = first.saturation
+        assert (report.iterations, report.enodes, report.classes,
+                report.rewrites_applied, report.merges, report.rule_bans,
+                report.match_truncations) == (6, 89, 29, 44, 60, 105, 4)
         assert first.saturation == second.saturation
         assert first.best_term is second.best_term
         assert first.execute(tiny_db) == eval_obj(queries.k4, tiny_db)

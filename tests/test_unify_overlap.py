@@ -9,7 +9,7 @@ from repro.core.terms import Sort, fun_var, meta, pred_var
 from repro.larch.prover import EquationalProver, prove_rule
 from repro.rewrite.overlap import (Overlap, analyze_pool,
                                    check_joinability, find_overlaps)
-from repro.rewrite.rule import rule
+from repro.rewrite.rule import Rule, rule
 from repro.rewrite.unify import rename_apart, resolve, unify
 
 
@@ -161,3 +161,24 @@ class TestProver:
         persons = tiny_db.collection("P")
         assert (apply_fn(lhs, persons, tiny_db)
                 == apply_fn(rhs, persons, tiny_db))
+
+    def test_irreversible_rule_expanded_forward_only(self, rulebase):
+        """Rule 6's RHS drops ``f``, so ``reversed()`` raises
+        ``RewriteError`` and the prover keeps only the forward
+        reading."""
+        r6 = rulebase.get("r6")
+        assert r6.bidirectional
+        prover = EquationalProver([r6, rulebase.get("r1")])
+        assert [label for label, _ in prover.rules] \
+            == ["[6]", "[1]", "[1^-1]"]
+
+    def test_unexpected_reversal_error_propagates(self, rulebase,
+                                                  monkeypatch):
+        """Only the documented ``RewriteError`` means "forward only";
+        any other failure of ``reversed()`` is a defect and surfaces."""
+        def broken(self):
+            raise ValueError("broken reversal")
+
+        monkeypatch.setattr(Rule, "reversed", broken)
+        with pytest.raises(ValueError, match="broken reversal"):
+            EquationalProver([rulebase.get("r1")])
