@@ -67,10 +67,6 @@ PASSES = 5
 
 WORKERS = 4
 
-#: Queries per queue message (both directions); large batches amortize
-#: better with bigger chunks than the serving-oriented default.
-CHUNK_SIZE = 32
-
 
 def _bench_db():
     return generate_database(GeneratorConfig(
@@ -94,8 +90,7 @@ def _mismatches(single_results, pool_results) -> list[int]:
 
 
 def measure_batch(db, *, distinct: int = CORPUS_DISTINCT,
-                  passes: int = PASSES, workers: int = WORKERS,
-                  chunk_size: int = CHUNK_SIZE) -> dict:
+                  passes: int = PASSES, workers: int = WORKERS) -> dict:
     corpus = generate_corpus(CorpusConfig(distinct=distinct))
     stream = corpus_stream(corpus, len(corpus) * passes, shuffle=False)
 
@@ -104,8 +99,7 @@ def measure_batch(db, *, distinct: int = CORPUS_DISTINCT,
         single_report = single.optimize_many(stream)
     single_s = time.perf_counter() - started
 
-    with BatchOptimizer(db, workers=workers,
-                        chunk_size=chunk_size) as pool:
+    with BatchOptimizer(db, workers=workers) as pool:
         started = time.perf_counter()
         pool.warmup()
         warmup_s = time.perf_counter() - started
@@ -122,8 +116,7 @@ def measure_batch(db, *, distinct: int = CORPUS_DISTINCT,
     return {
         "config": {
             "distinct": distinct, "passes": passes, "traffic": traffic,
-            "workers": workers, "chunk_size": chunk_size,
-            "cpus": os.cpu_count(),
+            "workers": workers, "cpus": os.cpu_count(),
             "plan_cache_max": Optimizer.PLAN_CACHE_MAX,
         },
         "single": {
@@ -203,8 +196,7 @@ def main(argv: list[str]) -> int:
     quick = "--quick" in argv
     db = _bench_db()
     if quick:
-        report = measure_batch(db, distinct=220, passes=2, workers=2,
-                               chunk_size=8)
+        report = measure_batch(db, distinct=220, passes=2, workers=2)
     else:
         report = measure_batch(db)
     _print_report(report)
@@ -230,8 +222,7 @@ def test_pool_parity_and_health():
     is bit-identical to the single-process path (smoke scale)."""
     db = generate_database(GeneratorConfig(
         n_persons=30, n_vehicles=20, n_addresses=10, seed=2026))
-    report = measure_batch(db, distinct=60, passes=2, workers=2,
-                           chunk_size=8)
+    report = measure_batch(db, distinct=60, passes=2, workers=2)
     assert report["pool"]["mode"] == "pool", report["pool"]
     assert report["pool"]["errors"] == 0, report["pool"]
     assert report["parity"]["ok"], report["parity"]

@@ -1,11 +1,13 @@
-"""Parallel batch optimization: process pools over portable terms.
+"""Parallel batch optimization over portable terms.
 
 Public surface:
 
 * :func:`~repro.parallel.batch.optimize_many` — optimize a query
-  corpus over a spawn-safe worker pool (or in-process fallback).
-* :class:`~repro.parallel.batch.BatchOptimizer` — the reusable pool
-  behind it, for callers that want warm workers across batches.
+  corpus over the spawn-safe worker pool
+  (:class:`repro.serve.pool.ServingPool`), or in-process.
+* :class:`~repro.parallel.batch.BatchOptimizer` — the reusable batch
+  front-end behind it, for callers that want warm workers across
+  batches.
 * :class:`~repro.parallel.cache.LRUCache` /
   :class:`~repro.parallel.cache.ShardedLRUCache` — the bounded LRU
   caches the serving layers share.

@@ -1,40 +1,36 @@
-"""Batch optimization over a spawn-safe process pool.
+"""Batch optimization: a query corpus over the serving worker pool.
 
-:func:`optimize_many` fans a query corpus over worker processes, each
-holding one persistent :class:`~repro.optimizer.optimizer.Optimizer`
-whose caches stay warm for the whole batch (and across batches when a
-:class:`BatchOptimizer` is reused).  Design points:
+:func:`optimize_many` fans a query corpus over a
+:class:`~repro.serve.pool.ServingPool` of spawned worker processes,
+each holding one persistent
+:class:`~repro.optimizer.optimizer.Optimizer` whose caches stay warm
+for the whole batch (and across batches when a :class:`BatchOptimizer`
+is reused).  The pool is the only worker driver: it spawns the workers,
+routes each query by its constant-abstracted skeleton
+(:meth:`~repro.serve.pool.ServingPool.slot_for`), coalesces dispatch,
+respawns dead workers and resubmits their requests, and drains on
+close.  This module adds what is particular to a batch:
 
-* **Shard-affinity routing.**  Each query is routed to a fixed worker
-  by a stable hash of its *constant-abstracted skeleton*
-  (:func:`~repro.core.terms.abstract_constants`; :func:`route_of`
-  hashes the portable payload), so the per-worker plan caches act as
-  the shards of one batch-wide
-  :class:`~repro.parallel.cache.ShardedLRUCache`: a repeated query —
-  and every member of a parameterized query family — lands on the
-  worker that cached its skeleton entry, so the family is served from
-  one warm parameterized cache instead of being re-optimized cold on
-  several workers.  This matters beyond CPU parallelism — a corpus
-  with more distinct queries than one cache's capacity thrashes a
-  single process but fits in the pool's combined shards.  With
-  ``abstract_cache=False`` routing falls back to the exact payload.
+* **Largest-first submission.**  Queries are submitted in decreasing
+  term size, so each worker starts its heaviest rewrites first
+  (shorter makespan when sizes are skewed).  Skeleton affinity makes
+  the per-worker plan caches the shards of one batch-wide cache: every
+  member of a parameterized query family lands on the worker that
+  cached its skeleton, and a corpus with more distinct queries than
+  one cache holds fits in the pool's combined shards.
 
-* **Largest-first dispatch.**  Within each worker's queue, chunks are
-  ordered by decreasing term size so the heaviest rewrites start first
-  (shorter makespan when sizes are skewed), and chunking amortizes
-  queue IPC over several queries per message — in both directions:
-  workers reply with one message per chunk, not per query.
+* **Parent-side decoding.**  Results return as portable payload dicts
+  (:mod:`repro.parallel.portable`) and re-intern here, so hash-consing
+  invariants hold in every process; a plan the wire form cannot carry
+  is re-chosen in the parent.
 
-* **Portable wire form.**  Queries ship as
-  :meth:`~repro.core.terms.Term.to_portable` payloads and results
-  return as payload dicts (:mod:`repro.parallel.portable`); terms
-  re-intern on each side, so hash-consing invariants hold in every
-  process.
-
-* **Graceful degradation.**  ``workers <= 1``, a pool that fails to
-  start, or a worker that dies mid-batch all fall back to an
-  in-process optimizer — the batch always completes, and results are
-  identical either way because plan choice is deterministic.
+* **Graceful degradation.**  ``workers <= 1`` or a pool that cannot
+  start (:class:`~repro.serve.protocol.ServeError`, recorded in
+  :attr:`BatchOptimizer.start_error`) runs in-process.  A query that
+  errored on its worker, or whose slot the pool abandoned after a
+  crash loop, is rerun in-process, so the batch always completes and a
+  genuine failure raises in the caller.  Results are identical either
+  way because plan choice is deterministic.
 
 The per-query results come back as full
 :class:`~repro.optimizer.optimizer.OptimizedQuery` objects; the
@@ -43,38 +39,24 @@ The per-query results come back as full
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue as queue_module
+import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 
 from repro.aqua.terms import AquaExpr
-from repro.core.terms import Term, abstract_constants
+from repro.core.terms import Term
 from repro.optimizer.optimizer import (SEARCH_MODES, OptimizedQuery,
                                        Optimizer)
 from repro.parallel.cache import merge_cache_info
 from repro.parallel.portable import decode_result
-from repro.parallel.worker import worker_main, worker_stats
+from repro.parallel.worker import worker_stats
 from repro.rewrite.pattern import canon
 from repro.rules.registry import standard_rulebase
+from repro.serve.pool import DEFAULT_WORKERS, PoolClosedError, ServingPool
+from repro.serve.protocol import ServeError
 from repro.translate.aqua_to_kola import translate_query
 from repro.translate.oql import parse_oql
-
-#: Queries per task-queue message.
-DEFAULT_CHUNK_SIZE = 8
-
-#: Upper bound on the default worker count (explicit ``workers=`` wins).
-DEFAULT_MAX_WORKERS = 4
-
-
-def route_of(payload: tuple, workers: int) -> int:
-    """The worker a portable payload routes to — a stable cross-process
-    hash (``zlib.crc32`` of the payload's repr; builtin ``hash`` is
-    per-process-randomized for strings, so it cannot shard a cache
-    whose shards live in different processes)."""
-    return zlib.crc32(repr(payload).encode("utf-8")) % workers
 
 
 def _initial_term(query: object) -> Term:
@@ -137,39 +119,37 @@ class BatchOptimizer:
 
     The pool starts lazily on the first :meth:`optimize_many` call and
     lives until :meth:`close` (or context-manager exit).  ``workers``
-    defaults to ``min(DEFAULT_MAX_WORKERS, cpu count)``; ``workers <= 1``
+    defaults to ``min(DEFAULT_WORKERS, cpu count)``; ``workers <= 1``
     skips the pool entirely and runs in-process with one persistent
     optimizer (still warm across batches).
     """
 
     def __init__(self, db=None, *, workers: int | None = None,
                  search: str = "greedy", budget=None,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
                  plan_cache_max: int | None = None,
                  abstract_cache: bool = True) -> None:
         if search not in SEARCH_MODES:
             raise ValueError(f"unknown search mode {search!r}; "
                              f"expected one of {SEARCH_MODES}")
         if workers is None:
-            workers = min(DEFAULT_MAX_WORKERS, os.cpu_count() or 1)
+            workers = min(DEFAULT_WORKERS, os.cpu_count() or 1)
         self.db = db
         self.workers = max(1, workers)
         self.search = search
         self.budget = budget
-        self.chunk_size = max(1, chunk_size)
         self.plan_cache_max = plan_cache_max
         self.abstract_cache = abstract_cache
         self.mode = "in-process"
         self.start_error: str | None = None  # why the pool fell back
-        self._procs: list = []
-        self._task_queues: list = []
-        self._result_queue = None
+        self._pool: ServingPool | None = None
         self._local: Optimizer | None = None
         self._rulebase = standard_rulebase()
-        #: Replies drained during :meth:`close` for chunks that were
-        #: still in flight when shutdown started: ``index -> (worker_id,
-        #: outcome)``.  Nothing a worker finished is silently dropped.
-        self.late_replies: dict[int, tuple[int, object]] = {}
+        # Serials stay unique over the pool's life, so a late duplicate
+        # reply can never be taken for a later batch's query.
+        self._next_serial = 0
+        self._replied = threading.Condition()
+        self._replies: dict[int, tuple[int, tuple]] = {}
+        self._awaited = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -201,31 +181,22 @@ class BatchOptimizer:
 
     def start(self) -> bool:
         """Ensure the pool is up; ``False`` means in-process mode."""
-        if self._procs:
+        if self._pool is not None:
             return True
         if self.workers <= 1:
             return False
+        pool = ServingPool(self.db, workers=self.workers,
+                           search=self.search, budget=self.budget,
+                           abstract_cache=self.abstract_cache,
+                           backend="process", queue_depth=None,
+                           on_reply=self._on_reply)
         try:
-            ctx = multiprocessing.get_context("spawn")
-            self._result_queue = ctx.Queue()
-            for worker_id in range(self.workers):
-                task_queue = ctx.Queue()
-                proc = ctx.Process(
-                    target=worker_main,
-                    args=(worker_id, task_queue, self._result_queue,
-                          self.db, self.search, self.budget,
-                          self.abstract_cache),
-                    daemon=True)
-                proc.start()
-                self._task_queues.append(task_queue)
-                self._procs.append(proc)
-        except Exception as exc:
-            self.start_error = f"{type(exc).__name__}: {exc}"
-            if os.environ.get("REPRO_BATCH_DEBUG"):  # pragma: no cover
-                import traceback
-                traceback.print_exc()
-            self.close()
+            pool.start()
+        except ServeError as error:
+            self.start_error = str(error)
+            pool.close()
             return False
+        self._pool = pool
         self.mode = "pool"
         return True
 
@@ -240,75 +211,26 @@ class BatchOptimizer:
         """
         if not self.start():
             return False
-        for task_queue in self._task_queues:
-            task_queue.put(("stats", None))
-        pending = set(range(self.workers))
-        while pending:
-            try:
-                message = self._result_queue.get(timeout=1.0)
-            except queue_module.Empty:
-                for worker_id, proc in enumerate(self._procs):
-                    if not proc.is_alive():
-                        pending.discard(worker_id)
-                continue
-            if message[0] == "stats":
-                pending.discard(message[1])
+        self._pool.warmup()
         return True
 
     def close(self) -> None:
         """Shut the pool down (idempotent; in-process state is kept).
 
-        In-flight chunks are drained first: each live worker gets a
-        stats barrier (its task queue is FIFO, so the barrier's answer
-        proves every chunk queued before ``close`` was processed), and
-        late ``("results", ...)`` replies read during the drain are
-        kept in :attr:`late_replies` rather than thrown away with the
-        result queue — a close racing a late chunked reply previously
-        dropped those results on the floor.
-        """
-        if self._procs:
-            self._drain_before_close()
-        for task_queue in self._task_queues:
-            try:
-                task_queue.put(None)
-            except Exception:
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1)
-        self._procs = []
-        self._task_queues = []
-        self._result_queue = None
+        The pool drains in-flight requests before it stops its
+        workers, so a close racing a late reply drops nothing."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
         self.mode = "in-process"
 
-    def _drain_before_close(self, timeout: float = 10.0) -> None:
-        """Barrier-drain the pool so shutdown cannot outrun replies."""
-        barriers: set[int] = set()
-        for worker_id, task_queue in enumerate(self._task_queues):
-            if self._procs[worker_id].is_alive():
-                try:
-                    task_queue.put(("stats", None))
-                    barriers.add(worker_id)
-                except Exception:
-                    pass
-        deadline = time.monotonic() + timeout
-        while barriers and time.monotonic() < deadline:
-            try:
-                message = self._result_queue.get(timeout=0.1)
-            except queue_module.Empty:
-                for worker_id in list(barriers):
-                    if not self._procs[worker_id].is_alive():
-                        barriers.discard(worker_id)
-                continue
-            if message[0] == "results":
-                _, worker_id, items = message
-                for index, outcome in items:
-                    self.late_replies[index] = (worker_id, outcome)
-            elif message[0] == "stats":
-                barriers.discard(message[1])
+    def _on_reply(self, serial: int, worker_id: int, outcome) -> None:
+        """The pool's reply callback (runs on its pump thread)."""
+        with self._replied:
+            self._replies[serial] = (worker_id, outcome)
+            self._awaited -= 1
+            if not self._awaited:
+                self._replied.notify()
 
     # -- batch runs ---------------------------------------------------------
 
@@ -345,67 +267,36 @@ class BatchOptimizer:
 
     def _run_pool(self, queries: list, terms: list[Term],
                   started: float) -> BatchReport:
-        payloads = [term.to_portable() for term in terms]
-        if self.abstract_cache:
-            # Route on the constant-abstracted skeleton so a whole
-            # parameterized family shares one worker's skeleton cache;
-            # the wire payload stays the exact term.
-            route_keys = [abstract_constants(term)[0].to_portable()
-                          for term in terms]
-        else:
-            route_keys = payloads
-
-        # Shard-affinity assignment, largest term first per worker.
-        assignment: list[list[int]] = [[] for _ in range(self.workers)]
-        for index, route_key in enumerate(route_keys):
-            assignment[route_of(route_key, self.workers)].append(index)
-        outstanding: dict[int, set[int]] = {}
-        for worker_id, indices in enumerate(assignment):
-            indices.sort(key=lambda i: terms[i].size(), reverse=True)
-            outstanding[worker_id] = set(indices)
-            for pos in range(0, len(indices), self.chunk_size):
-                chunk = [(i, payloads[i])
-                         for i in indices[pos:pos + self.chunk_size]]
-                self._task_queues[worker_id].put(("chunk", chunk))
-            self._task_queues[worker_id].put(("stats", None))
-
-        encoded: dict[int, tuple[int, dict]] = {}
-        stats_by_worker: dict[int, dict] = {}
-        stats_pending = set(range(self.workers))
+        base = self._next_serial
+        self._next_serial += len(terms)
         errors: list[tuple[int, str]] = []
         rerun: set[int] = set()
-
-        while any(outstanding.values()) or stats_pending:
+        with self._replied:
+            self._replies = {}
+            self._awaited = len(terms)
+        for index in sorted(range(len(terms)),
+                            key=lambda i: terms[i].size(), reverse=True):
             try:
-                message = self._result_queue.get(timeout=1.0)
-            except queue_module.Empty:
-                for worker_id, proc in enumerate(self._procs):
-                    if proc.is_alive():
-                        continue
-                    if outstanding[worker_id] or worker_id in stats_pending:
-                        # Dead worker: reclaim its tasks for the parent.
-                        rerun |= outstanding[worker_id]
-                        outstanding[worker_id] = set()
-                        stats_pending.discard(worker_id)
-                continue
-            kind = message[0]
-            if kind == "results":
-                _, worker_id, items = message
-                for index, outcome in items:
-                    if outcome[0] == "ok":
-                        encoded[index] = (worker_id, outcome[1])
-                    else:
-                        errors.append((index, outcome[1]))
-                        rerun.add(index)
-                    outstanding[worker_id].discard(index)
-            elif kind == "stats":
-                _, worker_id, info = message
-                info["worker"] = worker_id
-                stats_by_worker[worker_id] = info
-                stats_pending.discard(worker_id)
+                self._pool.submit(base + index, terms[index].to_portable(),
+                                  term=terms[index])
+            except PoolClosedError as error:
+                # The pool has abandoned the routed slot.
+                errors.append((index, str(error)))
+                rerun.add(index)
+                with self._replied:
+                    self._awaited -= 1
+        with self._replied:
+            self._replied.wait_for(lambda: self._awaited <= 0)
+            replies, self._replies = self._replies, {}
 
         results: list[BatchResult | None] = [None] * len(queries)
-        for index, (worker_id, payload) in encoded.items():
+        for serial, (worker_id, outcome) in replies.items():
+            index = serial - base
+            if outcome[0] != "ok":
+                errors.append((index, outcome[1]))
+                rerun.add(index)
+                continue
+            payload = outcome[1]
             result = decode_result(payload, self._rulebase,
                                    source=terms[index])
             if payload["plan"][0] == "replan":
@@ -422,10 +313,13 @@ class BatchOptimizer:
             results[index] = BatchResult(index, queries[index], result,
                                          worker=-1)
 
-        per_worker = [stats_by_worker[wid]
-                      for wid in sorted(stats_by_worker)]
-        if rerun and self._local is not None:
-            local = worker_stats(self._local, len(rerun))
+        stats = self._pool.request_stats()
+        per_worker = []
+        for worker_id in sorted(stats):
+            stats[worker_id]["worker"] = worker_id
+            per_worker.append(stats[worker_id])
+        if rerun:
+            local = worker_stats(self._fallback, len(rerun))
             local["worker"] = -1
             per_worker.append(local)
         plan_cache = merge_cache_info(
@@ -434,12 +328,11 @@ class BatchOptimizer:
                            mode="pool", search=self.search,
                            elapsed=time.perf_counter() - started,
                            plan_cache=plan_cache, per_worker=per_worker,
-                           errors=errors)
+                           errors=sorted(errors))
 
 
 def optimize_many(queries, db=None, *, workers: int | None = None,
                   search: str = "greedy", budget=None,
-                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                   plan_cache_max: int | None = None,
                   abstract_cache: bool = True) -> BatchReport:
     """One-shot batch optimization (pool started and torn down inside).
@@ -448,12 +341,11 @@ def optimize_many(queries, db=None, *, workers: int | None = None,
         queries: iterable of OQL strings, AQUA expressions or KOLA terms.
         db: database for cost-based plan choice (shipped to workers).
         workers: pool size; ``None`` means
-            ``min(DEFAULT_MAX_WORKERS, cpu count)``; ``<= 1`` runs
+            ``min(DEFAULT_WORKERS, cpu count)``; ``<= 1`` runs
             in-process.
         search: ``"greedy"`` or ``"saturate"``.
         budget: :class:`~repro.saturate.driver.SaturationBudget` for
             saturate-mode runs.
-        chunk_size: queries per worker task message.
         plan_cache_max: exact-level plan-cache capacity of the
             in-process fallback optimizer (defaults to the pool's
             aggregate, ``PLAN_CACHE_MAX × workers``).
@@ -462,8 +354,7 @@ def optimize_many(queries, db=None, *, workers: int | None = None,
             (``False`` = exact keying and exact-payload routing).
     """
     batch = BatchOptimizer(db, workers=workers, search=search,
-                           budget=budget, chunk_size=chunk_size,
-                           plan_cache_max=plan_cache_max,
+                           budget=budget, plan_cache_max=plan_cache_max,
                            abstract_cache=abstract_cache)
     try:
         return batch.optimize_many(queries)

@@ -1,26 +1,27 @@
-"""The batch worker process.
+"""The optimizer worker loop.
 
 Each worker owns one persistent :class:`~repro.optimizer.optimizer
 .Optimizer` (and therefore one :class:`~repro.rewrite.engine.Engine`):
 its plan cache, normal-form cache, canon cache and cost memo stay warm
-across every task the worker processes.  Because the parent routes each
-query to a fixed worker by portable-payload hash
-(:func:`repro.parallel.batch.route_of`), the per-worker plan caches
-behave as the shards of one batch-wide
+across every task the worker processes.  :class:`repro.serve.pool
+.ServingPool` is the one driver of this loop — for the serving daemon
+and the batch layer alike — and routes each query to a fixed worker by
+a stable hash of its skeleton (:func:`repro.serve.pool.route_of`), so
+the per-worker plan caches behave as the shards of one pool-wide
 :class:`~repro.parallel.cache.ShardedLRUCache` whose aggregate capacity
 scales with the pool.
 
 Protocol (all queue traffic is picklable):
 
-* task queue (per worker): ``("chunk", [(index, payload), ...])``
-  messages, a ``("stats", None)`` marker closing each batch, then
-  ``None`` to shut down.
+* task queue (per worker): ``("chunk", [(serial, payload), ...])``
+  messages, ``("stats", None)`` markers, then ``None`` to shut down.
 * result queue (shared): one ``("results", worker, items)`` message
-  per chunk, where each item is ``(index, ("ok", encoded))`` or
-  ``(index, ("err", message, traceback))`` — chunking the replies
-  amortizes queue IPC the same way it does for tasks — and a
-  ``("stats", worker, info)`` message answering each stats marker
-  (queue order guarantees it arrives after the batch's results).
+  per chunk, where each item is ``(serial, ("ok", encoded))`` or
+  ``(serial, ("err", message, traceback))`` — one reply message per
+  chunk amortizes queue IPC the same way the pool's coalesced chunks
+  do for tasks — and a ``("stats", worker, info)`` message answering
+  each stats marker (queue order guarantees it arrives after the
+  results of every chunk queued before the marker).
 
 A worker's plan cache returns the *same* :class:`OptimizedQuery`
 object for a repeated query, so results are encoded once per distinct
@@ -69,7 +70,7 @@ def worker_main(worker_id: int, task_queue, result_queue,
         if kind != "chunk":  # pragma: no cover - protocol guard
             continue
         items = []
-        for index, payload in body:
+        for serial, payload in body:
             try:
                 term = from_portable(payload)
                 result = optimizer.optimize(term, db, search=search)
@@ -77,17 +78,18 @@ def worker_main(worker_id: int, task_queue, result_queue,
                 if memoed is None:
                     memoed = (result, encode_result(result))
                     encode_memo.put(id(result), memoed)
-                items.append((index, ("ok", memoed[1])))
+                items.append((serial, ("ok", memoed[1])))
             except Exception as exc:  # ship the failure, keep serving
-                items.append((index, ("err",
-                                      f"{type(exc).__name__}: {exc}",
-                                      traceback.format_exc())))
+                items.append((serial, ("err",
+                                       f"{type(exc).__name__}: {exc}",
+                                       traceback.format_exc())))
             processed += 1
         result_queue.put(("results", worker_id, items))
 
 
 def worker_stats(optimizer, processed: int) -> dict:
-    """The per-worker stats blob merged into the batch report.
+    """The per-worker stats blob (merged into batch reports and the
+    daemon's stats endpoint).
 
     ``plan_cache`` carries the nested ``"param"`` and ``"kernel"``
     dicts (skeleton-plan and codegen-kernel traffic) alongside the

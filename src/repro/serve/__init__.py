@@ -20,17 +20,27 @@ The serving stack, bottom-up:
 See ``docs/serving.md`` for the protocol and deployment knobs.
 """
 
-from repro.serve.client import AsyncServeClient, ServeClient, ServeResult
-from repro.serve.daemon import PlanServer
-from repro.serve.pool import (PoolClosedError, ServingPool,
-                              WorkerSaturatedError)
-from repro.serve.protocol import (FrameError, ServeError, ShedError,
-                                  MAX_FRAME)
-from repro.serve.stats import snapshot_summary, stats_snapshot
+from importlib import import_module
 
-__all__ = [
-    "AsyncServeClient", "FrameError", "MAX_FRAME", "PlanServer",
-    "PoolClosedError", "ServeClient", "ServeError", "ServeResult",
-    "ServingPool", "ShedError", "WorkerSaturatedError",
-    "snapshot_summary", "stats_snapshot",
-]
+#: Public name -> defining submodule.  Resolved lazily, so importing
+#: one submodule (the batch layer imports only the pool) does not load
+#: the asyncio daemon and clients.
+_EXPORTS = {
+    "AsyncServeClient": "client", "ServeClient": "client",
+    "ServeResult": "client", "PlanServer": "daemon",
+    "PoolClosedError": "pool", "ServingPool": "pool",
+    "WorkerSaturatedError": "pool", "FrameError": "protocol",
+    "MAX_FRAME": "protocol", "ServeError": "protocol",
+    "ShedError": "protocol", "snapshot_summary": "stats",
+    "stats_snapshot": "stats",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    return getattr(import_module(f"repro.serve.{module}"), name)

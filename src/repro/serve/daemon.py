@@ -44,14 +44,12 @@ import os
 import time
 
 from repro.optimizer.optimizer import SEARCH_MODES
-from repro.serve.pool import (DEFAULT_QUEUE_DEPTH, PoolClosedError,
-                              ServingPool, WorkerSaturatedError)
+from repro.serve.pool import (DEFAULT_QUEUE_DEPTH, DEFAULT_WORKERS,
+                              PoolClosedError, ServingPool,
+                              WorkerSaturatedError)
 from repro.serve.protocol import (FrameError, ServeError, encode_frame,
                                   read_frame, resolve_query)
 from repro.serve.stats import snapshot_summary, stats_snapshot
-
-#: Default worker count (mirrors the batch layer).
-DEFAULT_WORKERS = 4
 
 #: Default TCP port for the CLI daemon and client.
 DEFAULT_PORT = 9321

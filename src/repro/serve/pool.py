@@ -1,23 +1,28 @@
-"""The daemon's persistent worker pool: pipelined per-request dispatch.
+"""The worker pool: pipelined per-request dispatch into optimizer workers.
 
-:class:`ServingPool` reuses the PR 4 batch worker loop
-(:func:`repro.parallel.worker.worker_main`) unchanged — same task
-protocol, same portable wire form, same persistent per-worker
-:class:`~repro.optimizer.optimizer.Optimizer` — but drives it
-*request-at-a-time* instead of batch-at-a-time:
+:class:`ServingPool` is the one driver of the worker loop
+(:func:`repro.parallel.worker.worker_main`): the only code that spawns,
+routes, respawns, resubmits, drains and closes workers.  It has two
+clients — the serving daemon (:class:`repro.serve.daemon.PlanServer`,
+bounded per-worker queues) and the batch layer
+(:class:`repro.parallel.batch.BatchOptimizer`, unbounded queues,
+largest query first).  Each worker holds one persistent
+:class:`~repro.optimizer.optimizer.Optimizer`, and requests ship in the
+portable wire form (:mod:`repro.parallel.portable`):
 
-* **Shard-affinity routing** (:func:`repro.parallel.batch.route_of`
-  over the constant-abstracted skeleton) pins every member of a query
-  family to one worker, so serving traffic lands on the worker whose
-  parameterized plan cache, warm e-graph and codegen kernels already
-  hold the family (PRs 7–8).
+* **Shard-affinity routing** (:func:`route_of` over the
+  constant-abstracted skeleton) pins every member of a query family to
+  one worker, so its traffic lands on the worker whose parameterized
+  plan cache, warm e-graph and codegen kernels already hold the family,
+  and the per-worker plan caches act as the shards of one pool-wide
+  cache.
 
 * **Coalesced dispatch.**  Submissions append to a per-worker buffer;
   a flusher thread ships whatever accumulated since its last pass as
   *one* task-queue message.  At low load that degenerates to one
-  request per message; under load it amortizes queue IPC exactly like
-  the batch layer's chunking — without holding requests back on a
-  timer.
+  request per message; under load (a batch submits its whole corpus at
+  once) it amortizes queue IPC over many requests — without holding
+  requests back on a timer or a chunk size.
 
 * **Bounded per-worker queues.**  A submit that would push a worker's
   in-flight count past ``queue_depth`` raises
@@ -28,8 +33,9 @@ protocol, same portable wire form, same persistent per-worker
 
 * **Zero-drop lifecycle.**  Every in-flight request is tracked by
   serial with its payload.  A worker that dies is replaced in its slot
-  and its pending requests are resubmitted (extending PR 4's
-  dead-worker reclaim).  :meth:`recycle` spawns and *warms* a
+  and its pending requests are resubmitted; a slot whose worker
+  crash-loops (or cannot be respawned) is abandoned and its requests
+  answered with an error.  :meth:`recycle` spawns and *warms* a
   replacement before the old worker stops receiving traffic, then
   drains and retires it — no request is dropped or errored by a
   recycle.  :meth:`close` drains all in-flight work before sending
@@ -44,15 +50,20 @@ pool exists for cache sharding, not CPU parallelism).
 
 from __future__ import annotations
 
+import pickle
 import queue as queue_module
 import threading
 import time
+import zlib
 
 from repro.core.errors import KolaError
 from repro.core.terms import Term, abstract_constants
-from repro.parallel.batch import route_of
 from repro.parallel.worker import worker_main
 from repro.serve.protocol import ServeError
+
+#: Upper bound on the default worker count of the daemon and the batch
+#: layer (an explicit ``workers=`` wins).
+DEFAULT_WORKERS = 4
 
 #: Default bound on one worker's in-flight requests.
 DEFAULT_QUEUE_DEPTH = 64
@@ -71,6 +82,14 @@ DRAIN_TIMEOUT = 30.0
 MAX_RESPAWNS = 3
 
 BACKENDS = ("process", "thread")
+
+
+def route_of(payload: tuple, workers: int) -> int:
+    """The slot a portable payload routes to — a stable cross-process
+    hash (``zlib.crc32`` of the payload's repr; builtin ``hash`` is
+    per-process-randomized for strings, so it cannot shard a cache
+    whose shards live in different processes)."""
+    return zlib.crc32(repr(payload).encode("utf-8")) % workers
 
 
 class PoolClosedError(KolaError):
@@ -126,7 +145,7 @@ class ServingPool:
             ``("err", message, traceback)``.
     """
 
-    def __init__(self, db=None, *, workers: int = 4,
+    def __init__(self, db=None, *, workers: int = DEFAULT_WORKERS,
                  search: str = "greedy", budget=None,
                  abstract_cache: bool = True, backend: str = "process",
                  queue_depth: int | None = DEFAULT_QUEUE_DEPTH,
@@ -151,7 +170,7 @@ class ServingPool:
         self._by_id: dict[int, _Worker] = {}
         self._next_id = 0
         self._pending: dict[int, _Worker] = {}     # serial -> worker
-        self._result_queue = None
+        self._reply_queue = None
         self._mp_context = None
         self._pump: threading.Thread | None = None
         self._flusher: threading.Thread | None = None
@@ -178,9 +197,9 @@ class ServingPool:
             if self.backend == "process":
                 import multiprocessing
                 self._mp_context = multiprocessing.get_context("spawn")
-                self._result_queue = self._mp_context.Queue()
+                self._reply_queue = self._mp_context.Queue()
             else:
-                self._result_queue = queue_module.Queue()
+                self._reply_queue = queue_module.Queue()
             self._started = True
         for slot in range(self.workers):
             worker = self._spawn(slot)
@@ -204,7 +223,7 @@ class ServingPool:
         with self._lock:
             worker_id = self._next_id
             self._next_id += 1
-        args = (worker_id, None, self._result_queue, self.db,
+        args = (worker_id, None, self._reply_queue, self.db,
                 self.search, self.budget, self.abstract_cache)
         if self.backend == "process":
             task_queue = self._mp_context.Queue()
@@ -217,11 +236,16 @@ class ServingPool:
                 target=worker_main,
                 args=(worker_id, task_queue) + args[2:],
                 name=f"serve-worker-{worker_id}", daemon=True)
+        # Process/thread limits raise OSError or RuntimeError; a db that
+        # spawn cannot pickle raises TypeError (a lock, say) or
+        # PicklingError (a lambda) before any child process exists.
         try:
             runner.start()
-        except (OSError, RuntimeError) as error:  # process/thread limits
+        except (OSError, RuntimeError, TypeError,
+                pickle.PicklingError) as error:
             raise ServeError(f"could not start worker {worker_id} for "
-                             f"slot {slot}: {error}") from error
+                             f"slot {slot}: {type(error).__name__}: "
+                             f"{error}") from error
         worker = _Worker(worker_id, slot, task_queue, runner)
         with self._lock:
             self._by_id[worker_id] = worker
@@ -343,7 +367,7 @@ class ServingPool:
         last_reap = time.monotonic()
         while True:
             try:
-                message = self._result_queue.get(timeout=POLL_INTERVAL)
+                message = self._reply_queue.get(timeout=POLL_INTERVAL)
             except queue_module.Empty:
                 if self._closing and not self._pending:
                     return
@@ -394,7 +418,10 @@ class ServingPool:
     def _reap_dead_workers(self) -> None:
         """Replace dead workers and resubmit their in-flight requests
         (nothing is dropped; plan choice is deterministic, so a
-        resubmitted request returns the same result)."""
+        resubmitted request returns the same result).  A slot whose
+        worker crash-loops past :data:`MAX_RESPAWNS`, or cannot be
+        respawned, is abandoned and its orphans get an ``("err", ...)``
+        reply."""
         with self._lock:
             dead = [worker for worker in self._by_id.values()
                     if not worker.retired and not worker.is_alive()
@@ -416,34 +443,32 @@ class ServingPool:
                 self._buffers.pop(worker.id, None)
             for event, _holder in waiters:
                 event.set()  # waiter sees no entry for this worker
+            reason = f"worker slot {worker.slot} is unavailable"
             if owns_slot:
                 with self._lock:
                     self._slot_failures[worker.slot] += 1
                     failures = self._slot_failures[worker.slot]
+                replacement = None
                 if failures > MAX_RESPAWNS:
-                    # Crash loop: stop replacing this slot.  Fail its
-                    # orphans instead of bouncing them forever; new
-                    # submits to the slot raise PoolClosedError.
-                    with self._lock:
-                        self._slots[worker.slot] = None
-                        for serial, _payload in orphans:
-                            self._pending.pop(serial, None)
-                    if self.on_reply is not None:
-                        message = (f"worker slot {worker.slot} crashed "
-                                   f"{failures} times in a row; giving "
-                                   f"up on this slot")
-                        for serial, _payload in orphans:
-                            self.on_reply(serial, worker.id,
-                                          ("err", message, ""))
-                    continue
-                replacement = self._spawn(worker.slot)
+                    # Crash loop: stop replacing this slot rather than
+                    # bouncing its orphans forever.
+                    reason = (f"worker slot {worker.slot} crashed "
+                              f"{failures} times in a row; giving up on "
+                              f"this slot")
+                else:
+                    try:
+                        replacement = self._spawn(worker.slot)
+                    except ServeError as error:
+                        reason = str(error)
                 with self._lock:
+                    # ``None`` abandons the slot: new submits to it
+                    # raise PoolClosedError.
                     self._slots[worker.slot] = replacement
             with self._lock:
                 target = self._slots[worker.slot]
                 if target is None:
-                    # The slot was already abandoned by a prior crash
-                    # loop; fail the orphans rather than drop them.
+                    # An abandoned slot: fail the orphans rather than
+                    # drop them.
                     for serial, _payload in orphans:
                         self._pending.pop(serial, None)
                     failed = list(orphans)
@@ -454,10 +479,7 @@ class ServingPool:
                         self._pending[serial] = target
             if failed and self.on_reply is not None:
                 for serial, _payload in failed:
-                    self.on_reply(
-                        serial, worker.id,
-                        ("err", f"worker slot {worker.slot} is "
-                                f"unavailable", ""))
+                    self.on_reply(serial, worker.id, ("err", reason, ""))
             if orphans and target is not None:
                 target.queue.put(("chunk", orphans))
 
@@ -552,10 +574,7 @@ class ServingPool:
             self._by_id.pop(worker.id, None)
         with self._flush_cond:
             self._buffers.pop(worker.id, None)
-        try:
-            worker.queue.put(None)
-        except Exception:
-            pass
+        worker.queue.put(None)
         worker.runner.join(timeout=5)
         if self.backend == "process" and worker.is_alive():
             worker.runner.terminate()
@@ -592,4 +611,4 @@ class ServingPool:
             self._started = False
             self._pump = None
             self._flusher = None
-            self._result_queue = None
+            self._reply_queue = None

@@ -16,7 +16,7 @@ from repro.core.terms import (PARAM_TAG, Sort, Term, abstract_constants,
                               abstract_with, from_portable,
                               instantiate_constants, is_param_slot)
 from repro.optimizer.optimizer import Optimizer
-from repro.parallel.batch import BatchOptimizer, optimize_many, route_of
+from repro.parallel.batch import BatchOptimizer, optimize_many
 from repro.rewrite.engine import Engine
 from repro.rewrite.pattern import canon
 from repro.rewrite.rule import rule
@@ -25,6 +25,7 @@ from repro.rules.registry import standard_rulebase
 from repro.saturate.driver import SaturationBudget, Saturator
 from repro.schema.generator import (GeneratorConfig, generate_database,
                                     tiny_database)
+from repro.serve.pool import route_of
 from repro.workloads.corpus import _TEMPLATES
 
 

@@ -156,13 +156,15 @@ class TestParamEntryMemo:
 
 def test_optimizer_import_leaves_gate_and_numpy_unloaded():
     """Building and serving the standard optimizer needs neither the
-    rule-pack admission gate (nor the Larch checker behind it) nor
-    numpy, so none of them may load on its import path."""
+    rule-pack admission gate (nor the Larch checker behind it), numpy
+    nor the batch layer, so none of them may load on its import
+    path."""
     code = ("import sys\n"
             "import repro.optimizer.optimizer, repro.rules.registry, "
             "repro.serve.daemon\n"
             "print(sorted(name for name in ('numpy', 'repro.larch', "
-            "'repro.rulepacks.gate') if name in sys.modules))\n")
+            "'repro.rulepacks.gate', 'repro.parallel.batch') "
+            "if name in sys.modules))\n")
     src = pathlib.Path(repro.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", code], cwd=src,
                           capture_output=True, text=True, timeout=120)

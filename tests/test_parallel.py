@@ -3,19 +3,23 @@ the backoff scheduler, result codecs, and pool-vs-sequential parity."""
 
 from __future__ import annotations
 
+import os
 import pickle
+import sys
+import threading
 
 import pytest
 
 from repro.optimizer.optimizer import Optimizer
 from repro.parallel.batch import (BatchOptimizer, optimize_many,
-                                  route_of, _initial_term)
+                                  _initial_term)
 from repro.parallel.cache import (LRUCache, ShardedLRUCache,
                                   merge_cache_info)
 from repro.parallel.portable import (decode_plan, decode_result,
                                      encode_plan, encode_result)
 from repro.optimizer.physical import InterpretPlan, JoinNestPlan
 from repro.saturate.driver import SaturationBudget, Saturator
+from repro.serve.pool import route_of
 from repro.workloads.corpus import (CorpusConfig, corpus_stream,
                                     generate_corpus)
 from repro.workloads.queries import paper_queries
@@ -368,3 +372,29 @@ class TestBatchPool:
         with BatchOptimizer(pool_db, workers=1) as batch:
             assert batch.warmup() is False
             assert batch.mode == "in-process"
+
+    def test_every_reply_counted_under_thread_churn(self, pool_db):
+        """The pool's pump thread hands replies to the caller's thread:
+        with more workers than cores and a tiny switch interval, a lost
+        update would hang the batch or leave a result missing."""
+        stream = corpus_stream(generate_corpus(CorpusConfig(distinct=40)),
+                               200)
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with BatchOptimizer(pool_db,
+                                workers=(os.cpu_count() or 1) + 1) as batch:
+                runner = threading.Thread(
+                    target=lambda: reports.append(
+                        batch.optimize_many(stream)), daemon=True)
+                runner.start()
+                runner.join(timeout=120)
+                assert not runner.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        [report] = reports
+        assert report.mode == "pool" and report.errors == []
+        assert all(result is not None for result in report.results)
+        assert sum(info["processed"] for info in report.per_worker) == 200
+        assert report.plan_cache["hits"] == 160

@@ -247,6 +247,31 @@ class TestServingPool:
         pool.close()
         assert pool.worker_ids() == []
 
+    def test_unpicklable_db_is_a_serve_error(self):
+        """A database spawn cannot pickle (here, one carrying a lock)
+        makes ``start`` raise ServeError with nothing registered; the
+        batch layer then records why and runs in-process."""
+        db = tiny_database()
+        db.lock = threading.Lock()
+        pool = ServingPool(db, workers=1, backend="process")
+        with pytest.raises(ServeError, match="cannot pickle"):
+            pool.start()
+        pool.close()
+        assert pool.worker_ids() == []
+
+        queries = ([OQL.format(c=c) for c in (20, 40)]
+                   + [canon(parse_obj(KOLA.format(c=7)))])
+        with BatchOptimizer(db, workers=2) as batch:
+            report = batch.optimize_many(queries)
+            assert batch.mode == "in-process"
+            assert "TypeError: cannot pickle" in batch.start_error
+        assert report.mode == "in-process"
+        sequential = Optimizer()
+        for query, outcome in zip(queries, report.results):
+            assert outcome.worker == -1
+            assert _results_match(outcome.result,
+                                  sequential.optimize(query, db))
+
 
 # -- a live daemon (thread backend) ------------------------------------------
 
@@ -559,27 +584,6 @@ class TestServeCommandSignals:
         assert not [pid for pid in started if _running(pid)]
         assert not path.exists()
         assert "shutting down" in log.read_text()
-
-
-# -- batch-layer drain regression --------------------------------------------
-
-
-@pytest.mark.slow
-class TestBatchCloseDrain:
-    def test_close_keeps_late_replies(self):
-        db = tiny_database()
-        term = canon(parse_obj(KOLA.format(c=64)))
-        batch = BatchOptimizer(db, workers=2)
-        assert batch.warmup()
-        # A chunk the normal batch loop will never read back: exactly
-        # the shutdown race (a worker still replying while close()
-        # tears the queues down).
-        batch._task_queues[0].put(("chunk", [(0, term.to_portable())]))
-        batch.close()
-        assert 0 in batch.late_replies
-        worker_id, outcome = batch.late_replies[0]
-        assert worker_id == 0
-        assert outcome[0] == "ok"
 
 
 # -- serving corpus ----------------------------------------------------------
