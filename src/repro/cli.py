@@ -5,8 +5,8 @@ Commands:
 ``eval``       evaluate a KOLA query against a generated database
 ``optimize``   run the full optimizer on OQL text or a KOLA query
 ``run``        optimize *and execute* a query on a chosen backend
-               (fused loop pipelines by default), reporting measured
-               vs. estimated cost
+               (compiled codegen kernels by default), reporting
+               measured vs. estimated cost
 ``optimize-batch``  optimize a generated query corpus over a worker
                pool (see :mod:`repro.parallel.batch`)
 ``fuzz``       generate random well-typed queries and differentially
@@ -83,14 +83,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("query")
     run_cmd.add_argument("--kola", action="store_true",
                          help="input is KOLA text, not OQL")
-    run_cmd.add_argument("--backend",
-                         choices=("plan", "fused", "columnar",
-                                  "codegen", "codegen-columnar"),
-                         default="fused",
-                         help="execution backend: physical plan, fused "
-                         "loop pipeline (default), fused + cached "
-                         "columns, compiled source kernel, or kernel "
-                         "with columnar scan splicing")
+    run_cmd.add_argument("--backend", choices=("codegen", "plan"),
+                         default="codegen",
+                         help="execution backend: compiled source "
+                         "kernel (codegen, the default) or the chosen "
+                         "physical plan")
     run_cmd.add_argument("--search", choices=("greedy", "saturate"),
                          default="greedy")
     run_cmd.add_argument("--repeat", type=int, default=3,
@@ -99,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="also print the executed plan/pipeline")
     run_cmd.add_argument("--dump-kernel", action="store_true",
                          help="print the generated kernel source "
-                         "(codegen backends only)")
+                         "(codegen backend only)")
     run_cmd.add_argument("--persons", type=int, default=40)
     run_cmd.add_argument("--vehicles", type=int, default=25)
     run_cmd.add_argument("--seed", type=int, default=2026)
@@ -315,7 +312,8 @@ def cmd_run(args) -> int:
     from repro.optimizer.optimizer import Optimizer
     db = _database(args)
     source = parse_obj(args.query) if args.kola else args.query
-    optimized = Optimizer().optimize(source, db, search=args.search)
+    optimizer = Optimizer()
+    optimized = optimizer.optimize(source, db, search=args.search)
     repeat = max(1, args.repeat)
 
     result = optimized.execute(db, backend=args.backend)  # warm + verify
@@ -327,16 +325,9 @@ def cmd_run(args) -> int:
     print("query    :", pretty(optimized.initial))
     print("executed :", pretty(optimized.best_term))
     print("backend  :", args.backend)
-    codegen = args.backend in ("codegen", "codegen-columnar")
-    if args.backend in ("fused", "columnar"):
-        executable = optimized.executable(
-            columnar=args.backend == "columnar")
-        coverage = ("fully lowered" if executable.fully_lowered
-                    else "partially lowered (closure fallback)")
-        print("pipeline :", coverage)
-    elif codegen:
-        kernel = optimized.kernel(
-            columnar=args.backend == "codegen-columnar")
+    kernel = (optimizer.kernel_for(optimized, db)[0]
+              if args.backend == "codegen" else None)
+    if kernel is not None:
         coverage = ("fully lowered" if kernel.fully_lowered
                     else "partially lowered (closure fallback)")
         print("pipeline :", coverage)
@@ -347,23 +338,15 @@ def cmd_run(args) -> int:
           f"(averaged over {repeat} runs)")
     print("result   :", value_repr(result, limit=20))
     if args.dump_kernel:
-        if not codegen:
-            print("(--dump-kernel needs --backend codegen or "
-                  "codegen-columnar)")
+        if kernel is None:
+            print("(--dump-kernel needs --backend codegen)")
         else:
             print()
-            print(optimized.kernel(
-                columnar=args.backend == "codegen-columnar").source)
+            print(kernel.source)
     if args.explain:
         print()
-        if args.backend in ("fused", "columnar"):
-            print(optimized.executable(
-                columnar=args.backend == "columnar").explain())
-        elif codegen:
-            print(optimized.kernel(
-                columnar=args.backend == "codegen-columnar").explain())
-        else:
-            print(optimized.plan.explain())
+        print(optimized.plan.explain() if kernel is None
+              else kernel.explain())
     return 0
 
 

@@ -34,8 +34,8 @@ from repro.core.values import KPair, as_bool, as_pair, as_set, kset
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (import cycle)
     from repro.schema.adt import Database
 
-# Shared with the closure compiler and the fused backend — one source of
-# primitive semantics across every execution path (repro.core.prims).
+# Shared with the scalar closures and the codegen kernels — one source
+# of primitive semantics across every execution path (repro.core.prims).
 _COMPARISONS = COMPARISONS
 _SETOPS = SETOPS
 

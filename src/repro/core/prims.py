@@ -2,11 +2,11 @@
 
 KOLA's comparison predicates (``eq``/``neq``/``lt``/``leq``/``gt``/
 ``geq``) and binary set functions (``union``/``intersect``/
-``difference``) are pure Python operators.  Every execution backend —
-the tree-walking evaluator (:mod:`repro.core.eval`), the closure
-compiler (:mod:`repro.core.compile`) and the fused loop backend
-(:mod:`repro.exec`) — resolves them through *this* module, so the
-backends cannot drift on primitive semantics.  (They used to each carry
+``difference``) are pure Python operators.  Every execution path —
+the tree-walking evaluator (:mod:`repro.core.eval`), the scalar
+closures (:mod:`repro.exec.scalar`) and the codegen kernels
+(:mod:`repro.exec.codegen`) — resolves them through *this* module, so
+the paths cannot drift on primitive semantics.  (They used to each carry
 a private copy of these tables; a typo in one copy would have been a
 silent semantic fork only the differential oracle could catch.)
 """

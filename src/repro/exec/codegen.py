@@ -1,15 +1,15 @@
-"""Codegen kernel backend: fused pipelines compiled to Python source.
+"""Codegen kernels: fused pipelines compiled to Python source.
 
-The generator backend (:mod:`repro.exec.emit`) executes a fused
-pipeline as a chain of generator stages over db-late scalar closures —
-every element crosses one Python frame per stage and one closure call
-per combinator step.  This module walks the same fused IR and instead
-**emits specialized Python source**: one flat function per plan, with
-the per-element step loop, dedup seen-sets, join probes and sink
-accumulation inlined as straight-line code.  ``compile()``/``exec``
-turn that source into a :class:`CompiledKernel`.
+This is the executor the optimizer runs queries on.  It walks the
+fused loop IR and **emits specialized Python source**: one flat
+function per plan, with the per-element step loop, dedup seen-sets,
+join probes and sink accumulation inlined as straight-line code.
+``compile()``/``exec`` turn that source into a :class:`CompiledKernel`.
+(The closure emitter in :mod:`repro.exec.emit` interprets the same IR
+as chained generator stages; it is kept as a reference, unreached from
+the optimizer.)
 
-Three things make a kernel more than a transliterated plan:
+Two things make a kernel more than a transliterated plan:
 
 * **Parameter slots.**  The kernel signature is
   ``_kernel(db, _params, _cl)``; a constant-abstracted skeleton (PR 7,
@@ -24,16 +24,10 @@ Three things make a kernel more than a transliterated plan:
   component expressions, materializing a real ``KPair`` only when the
   value escapes (into a set, a closure, a result).  Join and nest inner
   loops never pay for pairs that only feed projections.
-* **Columnar splicing.**  With ``columnar=True`` the emitter recognizes
-  the same scan prefixes as :func:`repro.exec.columnar.match_scan_prefix`
-  (with ``allow_params=True``) and splices cached column reads,
-  sort-from-column and vectorized filter masks into the source — the
-  scalar fallback filter stays in the loop so error behavior is
-  bit-identical to the generator columnar path.
 
 Everything the emitted source calls comes from the same runtime tables
-the evaluator and the generator backend use (``compare``, ``as_set``,
-``SETOPS``...), and every coercion context string is copied from
+the evaluator uses (``COMPARISONS``, ``as_set``, ``SETOPS``...), and
+every coercion context string is copied from
 :mod:`repro.exec.scalar` / :mod:`repro.exec.emit` verbatim, so
 ``EvalError`` messages cannot drift between backends.  Combinators with
 no inline emission (``bag_join``, ``bag_iterate``, ``list_iterate``,
@@ -44,8 +38,9 @@ those paths cannot diverge either.
 Kernels are **db-late** like every other backend: ``run(db)`` binds the
 database per call, ``run(None)`` routes through a no-database sentinel
 whose accessors raise the exact "needs a database" messages of the
-scalar closures.  The wire protocol never pickles a kernel — batch
-workers recompile from the term (see :mod:`repro.parallel.portable`).
+scalar closures.  The wire protocol never ships a kernel: results
+cross it as terms (see :mod:`repro.parallel.portable`), and a kernel
+is compiled wherever its query runs.
 """
 
 from __future__ import annotations
@@ -56,11 +51,9 @@ from typing import TYPE_CHECKING
 from repro.core.bags import KBag, as_bag
 from repro.core.errors import EvalError
 from repro.core.lists import KList, as_list, stable_sort_key
-from repro.core.prims import COMPARISONS, SETOPS, compare
+from repro.core.prims import COMPARISONS, SETOPS
 from repro.core.terms import Term, instantiate_constants, is_param_slot
 from repro.core.values import KPair, as_bool, as_pair, as_set, kset
-from repro.exec.columnar import (column, match_scan_prefix,
-                                 sort_by_key_column, _vector_mask)
 from repro.exec.fuse import fuse
 from repro.exec.ir import (Compute, Dedup, Filter, Flatten, JoinProbe,
                            LoweredQuery, Map, NestGroup, Pipeline, Scan,
@@ -98,23 +91,6 @@ class _NoDatabase:
 _NODB = _NoDatabase()
 
 
-def _scan_column(db, label, path, sort_path):
-    """Columnar scan splice: the cached column for ``path`` (or the
-    base column ordered by the ``sort_path`` key column)."""
-    if db is _NODB:
-        raise EvalError(f"named collection {label!r} needs a database")
-    if sort_path is not None:
-        return sort_by_key_column(column(db, label, sort_path),
-                                  column(db, label, ()))
-    return column(db, label, path)
-
-
-def _passes(filters, item):
-    """The scalar columnar filter: short-circuit per element, errors
-    folded by :func:`~repro.core.prims.compare`."""
-    return all(compare(op, constant, item) for op, constant in filters)
-
-
 #: Names every kernel namespace starts from.
 _GLOBALS = {
     "EvalError": EvalError,
@@ -127,13 +103,9 @@ _GLOBALS = {
     "as_bag": as_bag,
     "as_list": as_list,
     "as_bool": as_bool,
-    "compare": compare,
     "stable_sort_key": stable_sort_key,
     "_first": itemgetter(0),
     "_NODB": _NODB,
-    "_scan_column": _scan_column,
-    "_vector_mask": _vector_mask,
-    "_passes": _passes,
 }
 
 _COERCE_NAME = {"set": "as_set", "bag": "as_bag", "list": "as_list"}
@@ -161,8 +133,7 @@ class _Emitter:
     """Accumulates the kernel body, constants, parameter reads and
     closure specs while walking the IR."""
 
-    def __init__(self, columnar: bool):
-        self.columnar = columnar
+    def __init__(self):
         self.lines: list[str] = []
         self.indent = 1
         self.counter = 0
@@ -684,7 +655,7 @@ class _Emitter:
         source = pipeline.source
         indexed = list(enumerate(pipeline.ops))
         if isinstance(source, Scan):
-            open_loop, indexed = self.prepare_scan(source, indexed)
+            open_loop = self.prepare_scan(source)
         elif isinstance(source, JoinProbe):
             open_loop = lambda b: self.emit_join(source, b)
         elif isinstance(source, NestGroup):
@@ -804,15 +775,9 @@ class _Emitter:
 
     # -- sources -------------------------------------------------------------
 
-    def prepare_scan(self, scan: Scan, indexed):
-        """Emit the eager part of a scan (collection fetch + coercion,
-        or the columnar column read) and return the loop opener."""
-        if self.columnar:
-            prefix = match_scan_prefix(scan, [op for _, op in indexed],
-                                       allow_params=True)
-            if prefix is not None:
-                return self.prepare_columnar(prefix), \
-                    indexed[prefix.consumed:]
+    def prepare_scan(self, scan: Scan):
+        """Emit the eager part of a scan (collection fetch + coercion)
+        and return the loop opener."""
         source = self.emit_obj(scan.source)
         it = self._expr(
             "it", f"{_COERCE_NAME[scan.kind]}({self.as_code(source)}, "
@@ -822,35 +787,6 @@ class _Emitter:
             x = self.fresh("x")
             self.emit(f"for {x} in {it}:")
             self.indent += 1
-            body(x)
-            self.indent -= 1
-        return open_loop, indexed
-
-    def prepare_columnar(self, prefix):
-        """The columnar splice: eager column read now, vectorized mask
-        attempt + scalar fallback filter when the loop opens."""
-        vals = self._expr(
-            "col", f"_scan_column(db, {prefix.label!r}, {prefix.path!r}, "
-                   f"{prefix.sort_path!r})")
-
-        def open_loop(body):
-            flt = None
-            if prefix.filters:
-                spec = ", ".join(f"({op!r}, {self.lit_atom(lit)})"
-                                 for op, lit in prefix.filters)
-                flt = self._expr("flt", f"({spec},)")
-                mask = self._expr("mask", f"_vector_mask({flt}, {vals})")
-                self.emit(f"if {mask} is not None:")
-                self.indent += 1
-                self.emit(f"{vals} = [v for v, keep in "
-                          f"zip({vals}, {mask}) if keep]")
-                self.emit(f"{flt} = ()")
-                self.indent -= 1
-            x = self.fresh("x")
-            self.emit(f"for {x} in {vals}:")
-            self.indent += 1
-            if flt is not None:
-                self.emit(f"if {flt} and not _passes({flt}, {x}): continue")
             body(x)
             self.indent -= 1
         return open_loop
@@ -939,12 +875,12 @@ class _Emitter:
 
 # -- kernel assembly ----------------------------------------------------------
 
-def emit_kernel_source(lowered: LoweredQuery, columnar: bool):
+def emit_kernel_source(lowered: LoweredQuery):
     """Emit the kernel function source for a fused query.
 
     Returns ``(source, consts, closure_specs)``.
     """
-    em = _Emitter(columnar)
+    em = _Emitter()
     result = em.emit_lowered(lowered)
     em.emit(f"return {em.as_code(result)}")
 
@@ -976,16 +912,15 @@ class CompiledKernel:
     query while reusing the compiled function.
     """
 
-    __slots__ = ("term", "lowered", "source", "columnar", "n_params",
+    __slots__ = ("term", "lowered", "source", "n_params",
                  "closure_specs", "_fn", "_closures_have_slots",
                  "_closure_cache")
 
-    def __init__(self, term, lowered, source, columnar, n_params,
-                 closure_specs, fn):
+    def __init__(self, term, lowered, source, n_params, closure_specs,
+                 fn):
         self.term = term
         self.lowered = lowered
         self.source = source
-        self.columnar = columnar
         self.n_params = n_params
         self.closure_specs = closure_specs
         self._fn = fn
@@ -1024,8 +959,7 @@ class CompiledKernel:
         return self.lowered.fully_lowered
 
     def __repr__(self) -> str:
-        mode = "columnar" if self.columnar else "plain"
-        return (f"CompiledKernel({mode}, n_params={self.n_params}, "
+        return (f"CompiledKernel(n_params={self.n_params}, "
                 f"{len(self.source.splitlines())} lines)")
 
 
@@ -1037,8 +971,7 @@ def _count_params(term: Term) -> int:
     return n
 
 
-def compile_kernel(term: Term, *, columnar: bool = False,
-                   fused: bool = True) -> CompiledKernel:
+def compile_kernel(term: Term, *, fused: bool = True) -> CompiledKernel:
     """lower + fuse + emit source + ``compile()``/``exec``, once.
 
     ``term`` may be a concrete query or a constant-abstracted skeleton;
@@ -1048,11 +981,10 @@ def compile_kernel(term: Term, *, columnar: bool = False,
     lowered = lower_query(term)
     if fused:
         lowered = fuse(lowered)
-    source, consts, specs = emit_kernel_source(lowered, columnar)
+    source, consts, specs = emit_kernel_source(lowered)
     namespace = dict(_GLOBALS)
     namespace.update(consts)
     code = compile(source, "<kola-kernel>", "exec")
     exec(code, namespace)
-    return CompiledKernel(term, lowered, source, columnar,
-                          _count_params(term), specs,
-                          namespace["_kernel"])
+    return CompiledKernel(term, lowered, source, _count_params(term),
+                          specs, namespace["_kernel"])

@@ -211,7 +211,7 @@ class LoweredQuery:
 
 def render(node: object, indent: int = 0) -> str:
     """A stable, human-oriented rendering of the IR (used by
-    ``ExecutablePlan.explain`` and the ``repro.cli run`` output)."""
+    ``CompiledKernel.explain`` and the ``repro.cli run`` output)."""
     from repro.core.pretty import pretty
     pad = "  " * indent
     if isinstance(node, LoweredQuery):

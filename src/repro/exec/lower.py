@@ -19,7 +19,7 @@ The recognizers for hash-join-able predicate shapes
 (:func:`equality_shape`, :func:`membership_shape`) live here and are
 shared with the physical planner (:mod:`repro.optimizer.physical`) —
 one structural definition of "equi-join" for both the cost-based plan
-and the fused backend.
+and the compiled kernels.
 """
 
 from __future__ import annotations

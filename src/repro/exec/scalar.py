@@ -8,11 +8,12 @@ over at compile time:
 * predicates  compile to ``p(x, db) -> bool``;
 * objects     compile to ``o(db) -> value``.
 
-This is the substrate the loop backend (:mod:`repro.exec.emit`) builds
-its per-element stages from, and what :mod:`repro.core.compile` is a
-thin compatibility facade over.  Keeping ``db`` out of the closures is
-what lets one compiled plan retarget across databases with the same
-schema (see ``tests/test_exec.py::TestRetargeting``).
+Codegen kernels (:mod:`repro.exec.codegen`) call these closures for
+the combinators they do not inline, and the closure emitter
+(:mod:`repro.exec.emit`) builds its per-element stages from them.
+Keeping ``db`` out of the closures is what lets one compiled plan
+retarget across databases with the same schema (see
+``tests/test_compile.py::TestRetargeting``).
 
 Primitive semantics come from the shared tables in
 :mod:`repro.core.prims` — the same tables the tree-walking evaluator

@@ -15,20 +15,17 @@ search                  ``greedy``, ``saturate`` (equality
                         saturation under a small budget)
 front-end               sequential :class:`Optimizer`,
                         :class:`BatchOptimizer` batch
-execution backend       ``plan`` (physical plans), ``fused``
-                        (:mod:`repro.exec` loop pipelines),
-                        ``columnar`` (fused + cached columns),
-                        ``codegen`` (compiled source kernels),
-                        ``codegen-columnar`` (kernels + columns)
+execution backend       ``plan`` (physical plans), ``codegen``
+                        (compiled source kernels, :mod:`repro.exec`)
 ======================  ==========================================
 
 :func:`default_matrix` enumerates six sequential configurations (the
-full engine × search cross), two batch configurations, two
-fused-execution configurations (``fused-exec``,
-``fused-exec-columnar``), and two codegen configurations
-(``codegen-exec``, ``codegen-exec-columnar``) — twelve re-evaluations
-per query, every one compared bag-for-bag against direct evaluation.  A disagreement
-anywhere is a
+full engine × search cross), two batch configurations and one codegen
+configuration (``codegen-exec``) — nine re-evaluations per query,
+every one compared bag-for-bag against direct evaluation.
+``codegen-exec`` runs through :meth:`Optimizer.execute`, the path a
+served query takes: skeleton-keyed kernels with parameter slots and
+per-binding fallback closures.  A disagreement anywhere is a
 :class:`Divergence`; the oracle shrinks it to a minimal reproducer
 (see :mod:`repro.fuzz.shrink`) and reports the replay seed, so a CI
 failure is immediately a local one-liner (``docs/testing.md``).
@@ -90,31 +87,22 @@ class OracleConfig:
 
 def default_matrix(*, batch_workers: int = 1) -> tuple[OracleConfig, ...]:
     """The full cross: 3 engine tiers × 2 searches, plus 2 batch
-    front-end configs (greedy and saturate), plus 2 fused-execution
-    configs (generator backend and columnar fast path), plus 2 codegen
-    configs (compiled source kernels, plain and columnar-spliced) — 12
-    configurations."""
+    front-end configs (greedy and saturate), plus 1 codegen config
+    (the default executor) — 9 configurations."""
     configs = [OracleConfig(f"{engine}-{search}", engine, search)
                for engine in ("linear", "indexed", "compiled")
                for search in ("greedy", "saturate")]
     configs += [OracleConfig(f"batch-{search}", "compiled", search,
                              batch=True, workers=batch_workers)
                 for search in ("greedy", "saturate")]
-    configs += [
-        OracleConfig("fused-exec", "compiled", "greedy",
-                     backend="fused"),
-        OracleConfig("fused-exec-columnar", "compiled", "greedy",
-                     backend="columnar"),
-        OracleConfig("codegen-exec", "compiled", "greedy",
-                     backend="codegen"),
-        OracleConfig("codegen-exec-columnar", "compiled", "greedy",
-                     backend="codegen-columnar"),
-    ]
+    configs.append(OracleConfig("codegen-exec", "compiled", "greedy",
+                                backend="codegen"))
     return tuple(configs)
 
 
 def sequential_matrix() -> tuple[OracleConfig, ...]:
-    """The six sequential configurations only (no batch front-end)."""
+    """The sequential configurations only (no batch front-end): the
+    six engine × search configs plus ``codegen-exec``."""
     return tuple(c for c in default_matrix() if not c.batch)
 
 
@@ -284,14 +272,19 @@ class DifferentialOracle:
         return eval_obj(query, self.db)
 
     def evaluate(self, config: OracleConfig, query: Term):
-        """Optimize ``query`` under ``config`` and execute the plan."""
+        """Optimize ``query`` under ``config`` and execute it on the
+        config's backend.  Sequential configs run through
+        :meth:`Optimizer.execute` (the result then comes from its plan
+        cache), so codegen configs use the skeleton-keyed kernels."""
         if config.batch:
             report = self._batchers[config.name].optimize_many([query])
             result = report.results[0].result
-        else:
-            result = self._optimizers[config.name].optimize(
-                query, self.db, search=config.search)
-        return result, result.execute(self.db, backend=config.backend)
+            return result, result.execute(self.db, backend=config.backend)
+        optimizer = self._optimizers[config.name]
+        value = optimizer.execute(query, self.db, search=config.search,
+                                  backend=config.backend)
+        return optimizer.optimize(query, self.db,
+                                  search=config.search), value
 
     def check(self, query: Term, seed: int | None = None,
               report: OracleReport | None = None) -> list[Divergence]:

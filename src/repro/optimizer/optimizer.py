@@ -61,6 +61,7 @@ chosen plan.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from repro.aqua.terms import AquaExpr
@@ -87,16 +88,16 @@ from repro.translate.oql import parse_oql
 #: Search modes accepted by :meth:`Optimizer.optimize`.
 SEARCH_MODES = ("greedy", "saturate")
 
-#: Execution backends accepted by :meth:`OptimizedQuery.execute`:
-#: ``plan`` runs the chosen physical plan (per-combinator
-#: interpretation or the specialized join-nest strategy), ``fused``
-#: compiles the best known form down to one loop pipeline
-#: (:mod:`repro.exec`), ``columnar`` additionally serves bulk scans
-#: from cached columns, ``codegen`` compiles the fused pipeline to
-#: specialized Python source (:mod:`repro.exec.codegen`), and
-#: ``codegen-columnar`` additionally splices cached column reads into
-#: the emitted source.
-BACKENDS = ("plan", "fused", "columnar", "codegen", "codegen-columnar")
+#: Execution backends accepted by :meth:`Optimizer.execute` and
+#: :meth:`OptimizedQuery.execute`: ``codegen`` (the default) runs the
+#: best known form as a compiled source kernel (:mod:`repro.exec.codegen`)
+#: from the optimizer's skeleton-keyed kernel cache, and ``plan`` runs
+#: the chosen physical plan (interpretation, the join-nest strategy or
+#: an index scan).
+BACKENDS = ("plan", "codegen")
+
+#: The backend both ``execute`` entry points use when none is named.
+DEFAULT_BACKEND = "codegen"
 
 
 @dataclass
@@ -108,10 +109,11 @@ class OptimizedQuery:
     from.  (It is never NaN: an uncosted plan is an explicit state, not
     a number that silently poisons ``<=`` comparisons.)
 
-    Compiled fused pipelines are cached on the result itself
-    (:meth:`executable`), so plan-cache hits reuse the compiled loops
-    across queries and databases — compilation happens once per cached
-    plan, binding happens per :meth:`execute` call.
+    A result remembers (weakly) the optimizer that produced it, so
+    :meth:`execute` runs the same skeleton-keyed kernel as
+    :meth:`Optimizer.execute`.  A result with no live optimizer — one
+    decoded from the wire, say — compiles its own concrete kernel once
+    (:meth:`kernel`) and caches it on itself.
     """
 
     source: object                 # OQL text, AQUA expression, or KOLA term
@@ -125,8 +127,10 @@ class OptimizedQuery:
     search: str = "greedy"
     chosen: Term | None = None     # saturate mode: the extracted form
     saturation: SaturationReport | None = None
-    _executables: dict = field(default_factory=dict, init=False,
-                               repr=False, compare=False)
+    _owner: object = field(default=None, init=False, repr=False,
+                           compare=False)
+    _kernel: object = field(default=None, init=False, repr=False,
+                            compare=False)
 
     @property
     def best_term(self) -> Term:
@@ -134,42 +138,28 @@ class OptimizedQuery:
         saturate mode, the untangled form otherwise."""
         return self.chosen if self.chosen is not None else self.untangled
 
-    def executable(self, columnar: bool = False) -> "ExecutablePlan":
-        """The fused executable pipeline for :attr:`best_term`,
-        compiled lazily and cached on this (plan-cached) result."""
-        cached = self._executables.get(columnar)
-        if cached is None:
-            from repro.exec import compile_executable
-            cached = compile_executable(self.best_term, columnar=columnar)
-            self._executables[columnar] = cached
-        return cached
-
-    def kernel(self, columnar: bool = False) -> "CompiledKernel":
+    def kernel(self) -> "CompiledKernel":
         """The codegen kernel for :attr:`best_term`, compiled lazily
-        and cached on this (plan-cached) result.  The kernel is
-        compiled from the concrete term (no parameter slots);
-        constant-family sharing lives in the optimizer's
+        from the concrete term (no parameter slots) and cached on this
+        result.  :meth:`execute` runs it only when no optimizer is
+        attached; constant-family sharing lives in the optimizer's
         skeleton-keyed kernel cache (:meth:`Optimizer.kernel_for`)."""
-        cache_key = ("kernel", columnar)
-        cached = self._executables.get(cache_key)
-        if cached is None:
+        if self._kernel is None:
             from repro.exec import compile_kernel
-            cached = compile_kernel(self.best_term, columnar=columnar)
-            self._executables[cache_key] = cached
-        return cached
+            self._kernel = compile_kernel(self.best_term)
+        return self._kernel
 
     def execute(self, db: Database | None = None,
-                backend: str = "plan") -> object:
+                backend: str = DEFAULT_BACKEND) -> object:
+        """Run the query on ``db`` with one of :data:`BACKENDS`."""
+        if backend == "codegen":
+            owner = None if self._owner is None else self._owner()
+            if owner is not None:
+                kernel, values = owner.kernel_for(self, db)
+                return kernel.run(db, values)
+            return self.kernel().run(db)
         if backend == "plan":
             return self.plan.execute(db)
-        if backend == "fused":
-            return self.executable().run(db)
-        if backend == "columnar":
-            return self.executable(columnar=True).run(db)
-        if backend == "codegen":
-            return self.kernel().run(db)
-        if backend == "codegen-columnar":
-            return self.kernel(columnar=True).run(db)
         raise ValueError(f"unknown backend {backend!r}; "
                          f"expected one of {BACKENDS}")
 
@@ -298,6 +288,7 @@ class Optimizer:
         self._kernel_cache = LRUCache(self.KERNEL_CACHE_MAX)
         self._kernel_stats = {"kernel_hits": 0, "kernel_misses": 0}
         self._blocked_cache: tuple | None = None
+        self._self_ref = weakref.ref(self)
 
     # -- plan cache ---------------------------------------------------------
 
@@ -351,17 +342,16 @@ class Optimizer:
     # -- codegen kernel cache ------------------------------------------------
 
     def kernel_for(self, result: OptimizedQuery,
-                   db: Database | None = None,
-                   columnar: bool = False) -> tuple:
+                   db: Database | None = None) -> tuple:
         """The family-shared codegen kernel for one optimize result.
 
         Returns ``(kernel, values)``: the compiled kernel plus the
         parameter values that instantiate it to ``result.best_term``
         (run as ``kernel.run(db, values)``).  The cache is keyed on the
         best form's constant-abstracted *skeleton* (plus rulebase
-        generation, db stats fingerprint, and the columnar flag), so an
-        entire constant-varying template family compiles once and every
-        member binds its own values at run time.  Unlike the
+        generation and db stats fingerprint), so an entire
+        constant-varying template family compiles once and every member
+        binds its own values at run time.  Unlike the
         parameterized *plan* cache this needs no blocked-values guard:
         abstraction happens after rewriting, and the emitted kernel is
         value-faithful by construction — parameter slots flow through
@@ -375,12 +365,12 @@ class Optimizer:
         else:
             skeleton, values = term, ()
         fingerprint = None if db is None else db.stats_fingerprint()
-        key = (skeleton, self.rulebase.generation, fingerprint, columnar)
+        key = (skeleton, self.rulebase.generation, fingerprint)
         kernel = self._kernel_cache.get(key)
         if kernel is None:
             from repro.exec import compile_kernel
             self._kernel_stats["kernel_misses"] += 1
-            kernel = compile_kernel(skeleton, columnar=columnar)
+            kernel = compile_kernel(skeleton)
             self._kernel_cache.put(key, kernel,
                                    max_size=self.KERNEL_CACHE_MAX)
         else:
@@ -464,11 +454,14 @@ class Optimizer:
                               instantiate_constants(after, values), path)
         best = chosen if chosen is not None else untangled
         plan, estimated = self._choose_plan(best, db)
-        return OptimizedQuery(source=query, aqua=aqua, initial=initial,
-                              simplified=simplified, untangled=untangled,
-                              plan=plan, derivation=derivation,
-                              estimated_cost=estimated, search=entry.search,
-                              chosen=chosen, saturation=entry.saturation)
+        result = OptimizedQuery(source=query, aqua=aqua, initial=initial,
+                                simplified=simplified, untangled=untangled,
+                                plan=plan, derivation=derivation,
+                                estimated_cost=estimated,
+                                search=entry.search, chosen=chosen,
+                                saturation=entry.saturation)
+        result._owner = self._self_ref
+        return result
 
     # -- planning helpers ---------------------------------------------------
 
@@ -672,6 +665,7 @@ class Optimizer:
                                 plan=plan, derivation=derivation,
                                 estimated_cost=estimated, search=mode,
                                 chosen=chosen, saturation=report)
+        result._owner = self._self_ref
         self._plan_cache.put(key, result, max_size=self.plan_cache_max)
         if param_key is not None:
             self._param_cache.put(param_key,
@@ -682,22 +676,16 @@ class Optimizer:
 
     def execute(self, query: object, db: Database | None = None,
                 search: str | None = None,
-                backend: str = "fused") -> object:
+                backend: str = DEFAULT_BACKEND) -> object:
         """Optimize-and-run: the one-call serving entry point.
 
-        Defaults to the fused loop backend; pass ``backend="plan"`` for
-        the per-combinator physical plans, ``backend="columnar"`` for
-        the column-cached scan path, or ``backend="codegen"`` /
-        ``backend="codegen-columnar"`` for compiled source kernels.
-        Plan-cache hits reuse both the optimization result *and* its
-        compiled pipeline — only the database binding happens per call.
-        The codegen backends additionally route through the
-        skeleton-keyed kernel cache (:meth:`kernel_for`), so queries
-        differing only in scalar constants share one compiled kernel.
+        The default ``codegen`` backend runs the best form as a compiled
+        kernel from the skeleton-keyed kernel cache (:meth:`kernel_for`):
+        queries differing only in scalar constants share one kernel and
+        bind their own values at run time, and a plan-cache hit reuses
+        both the optimization result and its kernel — only the database
+        binding happens per call.  ``backend="plan"`` runs the chosen
+        physical plan instead.
         """
-        result = self.optimize(query, db=db, search=search)
-        if backend in ("codegen", "codegen-columnar"):
-            kernel, values = self.kernel_for(
-                result, db, columnar=(backend == "codegen-columnar"))
-            return kernel.run(db, values)
-        return result.execute(db, backend=backend)
+        return self.optimize(query, db=db, search=search).execute(
+            db, backend=backend)

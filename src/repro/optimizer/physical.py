@@ -1,19 +1,12 @@
 """Executable physical plans.
 
-Three plan families:
+Two plan families live here (index scans are in
+:mod:`repro.optimizer.indexes`):
 
 * :class:`InterpretPlan` — run the query with the operational-semantics
   evaluator.  For a nested (hidden-join) form this *is* the
   nested-loops strategy: the inner query re-runs for every outer
   element.
-
-* :class:`FusedPlan` — run the query on the fused execution layer
-  (:mod:`repro.exec`): the term lowers to a loop IR, fusion deletes
-  the unnecessary set-materialization boundaries, and emission
-  produces database-retargetable generator pipelines (optionally with
-  the columnar scan fast path).  The compiled executable is cached on
-  the plan; only the term (plus the columnar flag) crosses the batch
-  wire.
 
 * :class:`JoinNestPlan` — the specialized implementation that untangling
   unlocks (the paper's Section 4.1 motivation).  It recognizes the
@@ -36,7 +29,7 @@ Three plan families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core import constructors as C
 from repro.core.eval import apply_fn, eval_obj, test_pred
@@ -74,80 +67,6 @@ class InterpretPlan(PhysicalPlan):
 
     def explain(self) -> str:
         return f"Interpret[{pretty(self.query)}]"
-
-    def cost_estimate(self, db: Database,
-                      model: CostModel | None = None) -> float:
-        return (model or CostModel()).estimate(self.query, db)
-
-
-@dataclass
-class FusedPlan(PhysicalPlan):
-    """Run the query on the fused loop backend (:mod:`repro.exec`).
-
-    The executable pipeline is compiled lazily on first use and cached
-    on the plan object, so a plan-cache hit reuses the compiled loops.
-    Database bindings happen per :meth:`execute` call — the same plan
-    serves any database.
-    """
-
-    query: Term
-    columnar: bool = False
-    _compiled: object = field(default=None, repr=False, compare=False)
-
-    @property
-    def executable(self) -> "ExecutablePlan":
-        if self._compiled is None:
-            from repro.exec import compile_executable
-            self._compiled = compile_executable(self.query,
-                                                columnar=self.columnar)
-        return self._compiled
-
-    def execute(self, db: Database) -> object:
-        return self.executable.run(db)
-
-    def explain(self) -> str:
-        mode = "columnar" if self.columnar else "generators"
-        body = "\n".join("  " + line
-                         for line in self.executable.explain().splitlines())
-        return f"Fused[{mode}]\n{body}"
-
-    def cost_estimate(self, db: Database,
-                      model: CostModel | None = None) -> float:
-        return (model or CostModel()).estimate(self.query, db)
-
-
-@dataclass
-class CodegenPlan(PhysicalPlan):
-    """Run the query as a compiled codegen kernel
-    (:mod:`repro.exec.codegen`).
-
-    The kernel is compiled lazily on first use and cached on the plan
-    object; like every backend it is db-late, so one plan serves any
-    database.  The plan holds a *concrete* term and runs its kernel
-    with no parameter bindings — constant-family reuse across queries
-    lives in the optimizer's skeleton-keyed kernel cache, not here.
-    """
-
-    query: Term
-    columnar: bool = False
-    _compiled: object = field(default=None, repr=False, compare=False)
-
-    @property
-    def kernel(self) -> "CompiledKernel":
-        if self._compiled is None:
-            from repro.exec import compile_kernel
-            self._compiled = compile_kernel(self.query,
-                                            columnar=self.columnar)
-        return self._compiled
-
-    def execute(self, db: Database) -> object:
-        return self.kernel.run(db)
-
-    def explain(self) -> str:
-        mode = "columnar" if self.columnar else "plain"
-        body = "\n".join("  " + line
-                         for line in self.kernel.explain().splitlines())
-        return f"Codegen[{mode}]\n{body}"
 
     def cost_estimate(self, db: Database,
                       model: CostModel | None = None) -> float:
@@ -288,7 +207,7 @@ def recognize_join_nest(query: Term) -> JoinNestPlan | None:
                         membership_fn=membership_fn, eq_keys=eq_keys)
 
 
-# The predicate shape recognizers are shared with the fused backend's
+# The predicate shape recognizers are shared with the loop IR's
 # lowering pass — one structural definition of "equi-join" and
 # "membership join" for both plan families (repro.exec.lower).
 _equality_shape = equality_shape

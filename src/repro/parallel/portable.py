@@ -9,14 +9,12 @@ side's intern tables.  The parent rehydrates with
 :func:`decode_result`: terms re-intern through
 :func:`~repro.core.terms.from_portable`, derivation steps resolve their
 rules by name against the parent's rulebase, and plans rebuild from a
-tagged payload (``interpret`` / ``joinnest`` / ``fused`` /
-``codegen``; anything else is tagged ``replan`` and the caller
-re-derives it from the decoded terms — plan choice is deterministic,
-so that reproduces the worker's plan).  ``fused`` and ``codegen``
-payloads carry only the query term plus the columnar flag: lowering,
-fusion and emission (or source generation and ``compile()``) are
-deterministic, so the receiver recompiles the identical executable —
-compiled closures and kernel code objects never cross the wire.
+tagged payload (``interpret`` / ``joinnest``; anything else is tagged
+``replan`` and the caller re-derives it from the decoded terms — plan
+choice is deterministic, so that reproduces the worker's plan).  Any
+other tag is a :class:`~repro.core.errors.PortableTermError`.  Compiled
+kernels never cross the wire: the receiver compiles one from the
+decoded best form when it executes the result.
 """
 
 from __future__ import annotations
@@ -26,8 +24,7 @@ from dataclasses import asdict
 from repro.core.errors import PortableTermError
 from repro.core.terms import Term, from_portable
 from repro.optimizer.optimizer import OptimizedQuery
-from repro.optimizer.physical import (CodegenPlan, FusedPlan,
-                                      InterpretPlan, JoinNestPlan,
+from repro.optimizer.physical import (InterpretPlan, JoinNestPlan,
                                       PhysicalPlan)
 from repro.rewrite.rulebase import RuleBase
 from repro.rewrite.trace import Derivation
@@ -46,18 +43,6 @@ def encode_plan(plan: PhysicalPlan) -> tuple:
     """A tagged, picklable payload for ``plan``."""
     if isinstance(plan, InterpretPlan):
         return ("interpret", plan.query.to_portable())
-    if isinstance(plan, FusedPlan):
-        # Ship the term, not the compiled closures: lowering, fusion
-        # and emission are deterministic, so the receiver rebuilds the
-        # identical pipeline from the re-interned term.
-        return ("fused", {"query": plan.query.to_portable(),
-                          "columnar": plan.columnar})
-    if isinstance(plan, CodegenPlan):
-        # Same contract as fused: source generation and compile() are
-        # deterministic, so only the term and the columnar flag ship —
-        # the receiver recompiles the identical kernel.
-        return ("codegen", {"query": plan.query.to_portable(),
-                            "columnar": plan.columnar})
     if isinstance(plan, JoinNestPlan):
         eq_keys = (None if plan.eq_keys is None
                    else (plan.eq_keys[0].to_portable(),
@@ -81,12 +66,6 @@ def decode_plan(payload: tuple) -> PhysicalPlan | None:
     tag, body = payload
     if tag == "interpret":
         return InterpretPlan(from_portable(body))
-    if tag == "fused":
-        return FusedPlan(query=from_portable(body["query"]),
-                         columnar=body["columnar"])
-    if tag == "codegen":
-        return CodegenPlan(query=from_portable(body["query"]),
-                           columnar=body["columnar"])
     if tag == "joinnest":
         eq_keys = (None if body["eq_keys"] is None
                    else (from_portable(body["eq_keys"][0]),

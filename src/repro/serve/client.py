@@ -263,14 +263,28 @@ class AsyncServeClient:
         return response["stats"]
 
     async def optimize(self, query: object, *, kola: bool = False,
-                       search: str | None = None,
-                       decode: bool = True) -> ServeResult:
+                       search: str | None = None, decode: bool = True,
+                       shed_retries: int = 0) -> ServeResult:
+        """Serve one query, as :meth:`ServeClient.optimize` does.
+
+        ``shed_retries`` > 0 awaits the daemon's ``retry_after`` and
+        retries after a load-shed response.
+        """
+        import asyncio
+
         body = ({"kola": query} if kola and isinstance(query, str)
                 else query_body(query))
         if search is not None:
             body["search"] = search
         body["op"] = "optimize"
-        response = await self.request(body)
+        attempts = max(1, 1 + shed_retries)
+        for attempt in range(attempts):
+            response = await self.request(dict(body))
+            if response.get("shed") and attempt + 1 < attempts:
+                await asyncio.sleep(float(response.get("retry_after",
+                                                       0.05)))
+                continue
+            break
         _raise_for(response)
         result = None
         if decode:

@@ -237,12 +237,16 @@ class ServingPool:
                 args=(worker_id, task_queue) + args[2:],
                 name=f"serve-worker-{worker_id}", daemon=True)
         # Process/thread limits raise OSError or RuntimeError; a db that
-        # spawn cannot pickle raises TypeError (a lock, say) or
-        # PicklingError (a lambda) before any child process exists.
+        # spawn cannot pickle raises TypeError (a lock, say),
+        # PicklingError (a lambda) or AttributeError (a nested function)
+        # before any child process exists.  Only a process start
+        # pickles, so only there is an AttributeError a spawn failure.
+        failures = (OSError, RuntimeError, TypeError, pickle.PicklingError)
+        if self.backend == "process":
+            failures += (AttributeError,)
         try:
             runner.start()
-        except (OSError, RuntimeError, TypeError,
-                pickle.PicklingError) as error:
+        except failures as error:
             raise ServeError(f"could not start worker {worker_id} for "
                              f"slot {slot}: {type(error).__name__}: "
                              f"{error}") from error

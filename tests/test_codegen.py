@@ -1,22 +1,22 @@
-"""The codegen kernel backend: source emission, parameter-slot
+"""Codegen kernels, the one executor: source emission, parameter-slot
 families, the skeleton-keyed kernel cache, and its integrations.
 
-Organized by the guarantees the backend makes:
+Organized by the guarantees the executor makes:
 
 * **result identity** — a compiled kernel returns exactly what the
-  fused pipeline (and direct evaluation) returns, including on the
-  columnar fast path (the bulk property sweep lives in
-  ``test_exec_property.py``; here are the targeted shapes);
+  closure emitter's pipeline (in both its generator and columnar
+  modes) and direct evaluation return (the bulk property sweep lives
+  in ``test_exec_property.py``; here are the targeted shapes);
 * **message parity** — a query that fails, fails with *the same*
-  ``EvalError`` message through the kernel as through the fused
-  backend (the fused backend is the reference: it and direct eval
-  already differ on scan-coercion contexts by design);
+  ``EvalError`` message through the kernel as through the closure
+  emitter in either mode (the emitter is the reference: it and direct
+  eval already differ on scan-coercion contexts by design);
 * **db-late compilation** — one kernel retargets across databases and
   refuses database-dependent work without one;
 * **parameter families** — a kernel compiled from a constant-abstracted
   skeleton serves every member of the template family via run-time
   parameter values, and the optimizer's kernel cache exploits that;
-* **integration** — backend dispatch, the batch wire, and the CLI.
+* **integration** — backend dispatch and the CLI.
 """
 
 import pytest
@@ -31,8 +31,6 @@ from repro.exec import compile_executable, compile_kernel
 from repro.exec import columnar as columnar_mod
 from repro.exec import ir
 from repro.optimizer.optimizer import BACKENDS, Optimizer
-from repro.optimizer.physical import CodegenPlan
-from repro.parallel.portable import decode_plan, encode_plan
 from repro.rewrite.pattern import canon
 from repro.rules.registry import standard_rulebase
 from repro.schema.generator import tiny_database
@@ -66,21 +64,26 @@ class TestResultIdentity:
     @pytest.mark.parametrize("text", QUERIES)
     @pytest.mark.parametrize("columnar", [False, True])
     def test_matches_fused_and_eval(self, text, columnar):
+        """``columnar`` picks the closure emitter's mode the kernel is
+        compared with."""
         query = _q(text)
         expected = eval_obj(query, DB)
         fused = compile_executable(query, columnar=columnar).run(DB)
-        kernel = compile_kernel(query, columnar=columnar)
-        got = kernel.run(DB)
+        got = compile_kernel(query).run(DB)
         assert type(got) is type(expected) and got == expected
         assert type(got) is type(fused) and got == fused
 
     def test_sort_from_column(self):
-        """A leading attr-keyed Sort is served from the cached column
-        (the bag/list scan-prefix extension) with identical ordering."""
+        """The kernel's sort orders exactly as the closure emitter's
+        sort-from-column path (a leading attr-keyed Sort served from
+        the cached column) and direct evaluation do."""
         query = _q("listify(age) ! P")
-        kernel = compile_kernel(query, columnar=True)
-        assert "_scan_column" in kernel.source
-        assert kernel.run(DB) == eval_obj(query, DB)
+        expected = eval_obj(query, DB)
+        from_column = compile_executable(query, columnar=True)
+        assert from_column.run(DB) == expected
+        got = compile_kernel(query).run(DB)
+        assert type(got) is type(expected)
+        assert list(got) == list(expected)
 
     def test_repr_and_explain(self):
         kernel = compile_kernel(_q("count ! P"))
@@ -112,24 +115,25 @@ class TestMessageParity:
     @pytest.mark.parametrize("text", ERROR_QUERIES)
     @pytest.mark.parametrize("columnar", [False, True])
     def test_same_message_as_fused(self, text, columnar):
+        """``columnar`` picks the closure emitter's mode the kernel is
+        compared with."""
         query = _q(text)
         expected = _error(
             lambda: compile_executable(query, columnar=columnar).run(DB))
-        got = _error(
-            lambda: compile_kernel(query, columnar=columnar).run(DB))
+        got = _error(lambda: compile_kernel(query).run(DB))
         assert got == expected
 
     @pytest.mark.parametrize("columnar", [False, True])
     def test_string_constant_over_numeric_column(self, columnar):
-        """The columnar path must surface the same incomparable-values
-        error the scalar path does (the vectorized mask attempt folds
-        its TypeError into a scalar fallback, never a silent drop)."""
+        """The kernel surfaces the same incomparable-values error as
+        the closure emitter's scalar and columnar paths (the columnar
+        vectorized mask attempt folds its TypeError into a scalar
+        fallback, never a silent drop)."""
         query = canon(_swap_zero_for(
             parse_obj("iterate(gt @ <age, Kf(0)>, id) ! P"), "x"))
         expected = _error(
             lambda: compile_executable(query, columnar=columnar).run(DB))
-        got = _error(
-            lambda: compile_kernel(query, columnar=columnar).run(DB))
+        got = _error(lambda: compile_kernel(query).run(DB))
         assert got == expected
         assert "incomparable values" in got
 
@@ -201,13 +205,6 @@ class TestKernelCache:
         assert info["kernel_hits"] == 2
         assert info["size"] == 1
 
-    def test_columnar_flag_keys_separately(self):
-        opt = Optimizer()
-        query = self._family(n=1)[0]
-        opt.execute(query, DB, backend="codegen")
-        opt.execute(query, DB, backend="codegen-columnar")
-        assert opt.plan_cache_info()["kernel"]["kernel_misses"] == 2
-
     def test_generation_bump_invalidates(self):
         base = standard_rulebase()
         opt = Optimizer(base)
@@ -233,6 +230,19 @@ class TestKernelCache:
         info = opt.plan_cache_info()["kernel"]
         assert info["kernel_misses"] == 2 and info["kernel_hits"] == 0
 
+    def test_result_outlives_its_optimizer(self):
+        """A result holds its optimizer weakly: once the optimizer is
+        gone, ``execute`` compiles the result's own concrete kernel."""
+        import gc
+        opt = Optimizer()
+        query = self._family(n=1)[0]
+        result = opt.optimize(query, DB)
+        del opt
+        gc.collect()
+        assert result._owner() is None
+        assert result.execute(DB) == eval_obj(query, DB)
+        assert result.kernel().n_params == 0
+
     def test_kernel_for_returns_runnable_pair(self):
         opt = Optimizer()
         query = self._family(n=1)[0]
@@ -249,41 +259,24 @@ class TestBackendDispatch:
         opt = Optimizer()
         result = opt.optimize(
             "select p from p in P where p.age > 30", DB)
+        assert BACKENDS == ("plan", "codegen")
         values = {backend: result.execute(DB, backend=backend)
                   for backend in BACKENDS}
+        values["default"] = result.execute(DB)
+        values["optimizer"] = opt.execute(
+            "select p from p in P where p.age > 30", DB)
         reference = values["plan"]
         assert all(v == reference for v in values.values())
 
     def test_unknown_backend_names_the_choices(self):
         opt = Optimizer()
         result = opt.optimize("select p from p in P", DB)
-        with pytest.raises(ValueError, match="codegen-columnar"):
+        with pytest.raises(ValueError, match="'plan', 'codegen'"):
             result.execute(DB, backend="vectorized")
 
     def test_result_kernel_is_cached(self):
         result = Optimizer().optimize("select p from p in P", DB)
         assert result.kernel() is result.kernel()
-        assert result.kernel(columnar=True) is not result.kernel()
-
-
-# -- the batch wire -----------------------------------------------------------
-
-
-class TestWire:
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_codegen_plan_round_trips_as_term_payload(self, columnar):
-        best = Optimizer().optimize(
-            "select p from p in P where p.age > 30", DB).best_term
-        plan = CodegenPlan(query=best, columnar=columnar)
-        tag, body = encode_plan(plan)
-        assert tag == "codegen"
-        # Term-only payload: no code objects, closures, or kernels.
-        assert set(body) == {"query", "columnar"}
-        rebuilt = decode_plan((tag, body))
-        assert isinstance(rebuilt, CodegenPlan)
-        assert rebuilt.columnar is columnar
-        assert rebuilt.execute(DB) == plan.execute(DB)
-        assert "Codegen[" in rebuilt.explain()
 
 
 # -- the CLI ------------------------------------------------------------------
@@ -299,14 +292,13 @@ class TestCli:
 
     def test_dump_kernel_prints_source(self, capsys):
         assert main(["run", "select p from p in P where p.age > 30",
-                     "--backend", "codegen-columnar",
                      "--dump-kernel"]) == 0
         out = capsys.readouterr().out
         assert "def _kernel(db, _params, _cl):" in out
 
     def test_dump_kernel_needs_codegen_backend(self, capsys):
         assert main(["run", "select p from p in P",
-                     "--backend", "fused", "--dump-kernel"]) == 0
+                     "--backend", "plan", "--dump-kernel"]) == 0
         assert "--dump-kernel needs" in capsys.readouterr().out
 
     def test_explain_codegen(self, capsys):

@@ -1,6 +1,7 @@
-"""Tests for the fused executable plan backend: lowering, fusion,
-emission, database retargeting, the columnar fast path, the wire
-codec, and the CLI ``run`` entry point."""
+"""Tests for the execution layer: lowering, fusion, the closure
+emitter and its columnar fast path (kept as a reference beside the
+codegen kernels), database retargeting, the optimizer's backends, the
+plan wire codec, and the CLI ``run`` entry point."""
 
 import pytest
 
@@ -16,8 +17,8 @@ from repro.exec.fuse import materialization_points
 from repro.exec.ir import (Compute, Dedup, Filter, Flatten, JoinProbe,
                            Map, NestGroup, Pipeline, Scan, Sort,
                            UnnestFlatten, WrapEnv, render)
-from repro.optimizer.physical import FusedPlan
-from repro.parallel.portable import decode_plan, encode_plan
+from repro.optimizer.physical import InterpretPlan
+from repro.parallel.portable import encode_plan
 
 
 def _identical(a, b):
@@ -253,23 +254,28 @@ class TestOptimizerBackends:
         optimized = optimizer.optimize(query, tiny_db)
         expected = eval_obj(query, tiny_db)
         assert _identical(optimized.execute(tiny_db), expected)
-        assert _identical(optimized.execute(tiny_db, backend="fused"),
+        assert _identical(optimized.execute(tiny_db, backend="plan"),
                           expected)
-        assert _identical(optimized.execute(tiny_db, backend="columnar"),
+        assert _identical(optimized.execute(tiny_db, backend="codegen"),
                           expected)
-        with pytest.raises(ValueError, match="backend"):
-            optimized.execute(tiny_db, backend="warp")
+        for retired in ("fused", "columnar", "codegen-columnar", "warp"):
+            with pytest.raises(ValueError, match="backend"):
+                optimized.execute(tiny_db, backend=retired)
 
     def test_executable_is_cached_on_the_result(self, tiny_db):
         from repro.optimizer.optimizer import Optimizer
         optimizer = Optimizer()
         optimized = optimizer.optimize(
             parse_obj("iterate(Kp(T), age) ! P"), tiny_db)
-        assert optimized.executable() is optimized.executable()
-        # ... and a plan-cache hit carries the compiled pipeline along.
+        optimized.execute(tiny_db)
+        # ... and a plan-cache hit runs the same compiled kernel.
         again = optimizer.optimize(
             parse_obj("iterate(Kp(T), age) ! P"), tiny_db)
         assert again is optimized
+        again.execute(tiny_db)
+        kernels = optimizer.plan_cache_info()["kernel"]
+        assert kernels["kernel_misses"] == 1
+        assert kernels["kernel_hits"] == 1
 
     def test_optimizer_execute_entry_point(self, tiny_db):
         from repro.optimizer.optimizer import Optimizer
@@ -279,21 +285,9 @@ class TestOptimizerBackends:
 
 
 class TestWireCodec:
-    def test_fused_plan_round_trip(self, tiny_db):
-        query = parse_obj("iterate(Kp(T), city o addr) ! P")
-        plan = FusedPlan(query, columnar=True)
-        payload = encode_plan(plan)
-        assert payload[0] == "fused"
-        decoded = decode_plan(payload)
-        assert isinstance(decoded, FusedPlan)
-        assert decoded.query == query
-        assert decoded.columnar is True
-        assert _identical(decoded.execute(tiny_db),
-                          eval_obj(query, tiny_db))
-
     def test_payload_is_picklable(self):
         import pickle
-        payload = encode_plan(FusedPlan(
+        payload = encode_plan(InterpretPlan(
             parse_obj("count o iterate(Kp(T), id) ! P")))
         assert pickle.loads(pickle.dumps(payload)) == payload
 
@@ -310,7 +304,7 @@ class TestCliRun:
 
     def test_run_oql_with_explain(self, capsys):
         code = main(["run", "select p.age from p in P where p.age > 25",
-                     "--backend", "columnar", "--repeat", "1",
+                     "--backend", "codegen", "--repeat", "1",
                      "--explain"])
         assert code == 0
         out = capsys.readouterr().out

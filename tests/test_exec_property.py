@@ -6,7 +6,9 @@ Two sources of queries:
 * Hypothesis draws from :func:`repro.fuzz.strategies.kola_queries` —
   the same grammar-directed generator the fuzz oracle replays, run
   against the generator-closure path, the columnar fast path, and the
-  codegen source-kernel backend (plain and columnar-spliced);
+  codegen kernels (compiled from the concrete query, and from its
+  constant-abstracted skeleton run with the query's values, as the
+  optimizer's kernel cache runs them);
 * every anchor in ``tests/corpus/`` — the regression corpus of
   queries that once exposed a divergence anywhere in the stack.
 
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 
 from repro.core.errors import EvalError
 from repro.core.eval import eval_obj
+from repro.core.terms import abstract_constants
 from repro.exec import compile_executable, compile_kernel
 from repro.fuzz.corpus import load_all
 from repro.fuzz.strategies import kola_queries
@@ -48,16 +51,18 @@ def _fused(query, columnar):
         return "error", type(err)
 
 
-def _codegen(query, columnar):
+def _codegen(query, skeleton):
     try:
-        return "ok", compile_kernel(query, columnar=columnar).run(DB)
+        term, values = (abstract_constants(query) if skeleton
+                        else (query, ()))
+        return "ok", compile_kernel(term).run(DB, values)
     except EvalError as err:
         return "error", type(err)
 
 
-def _assert_agrees(query, columnar, run=_fused, label="fused"):
+def _assert_agrees(query, run=_fused, label="fused", **mode):
     expected_outcome, expected = _direct(query)
-    outcome, got = run(query, columnar)
+    outcome, got = run(query, **mode)
     assert outcome == expected_outcome, (
         f"outcome diverged on {query!r}: direct={expected_outcome} "
         f"{label}={outcome} ({got!r})")
@@ -67,8 +72,8 @@ def _assert_agrees(query, columnar, run=_fused, label="fused"):
             f"{label}={got!r}")
 
 
-def _assert_codegen_agrees(query, columnar):
-    _assert_agrees(query, columnar, run=_codegen, label="codegen")
+def _assert_codegen_agrees(query, skeleton):
+    _assert_agrees(query, run=_codegen, label="codegen", skeleton=skeleton)
 
 
 class TestGeneratedQueries:
@@ -85,12 +90,12 @@ class TestGeneratedQueries:
     @settings(max_examples=150, deadline=None)
     @given(query=kola_queries())
     def test_codegen_matches_eval(self, query):
-        _assert_codegen_agrees(query, columnar=False)
+        _assert_codegen_agrees(query, skeleton=False)
 
     @settings(max_examples=150, deadline=None)
     @given(query=kola_queries())
-    def test_codegen_columnar_matches_eval(self, query):
-        _assert_codegen_agrees(query, columnar=True)
+    def test_codegen_skeleton_matches_eval(self, query):
+        _assert_codegen_agrees(query, skeleton=True)
 
 
 def _corpus_anchors():
@@ -109,7 +114,7 @@ class TestCorpusAnchors:
         _assert_agrees(anchor.term(), columnar=True)
 
     def test_codegen_matches_eval(self, anchor):
-        _assert_codegen_agrees(anchor.term(), columnar=False)
+        _assert_codegen_agrees(anchor.term(), skeleton=False)
 
-    def test_codegen_columnar_matches_eval(self, anchor):
-        _assert_codegen_agrees(anchor.term(), columnar=True)
+    def test_codegen_skeleton_matches_eval(self, anchor):
+        _assert_codegen_agrees(anchor.term(), skeleton=True)

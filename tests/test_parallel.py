@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.core.errors import PortableTermError
 from repro.optimizer.optimizer import Optimizer
 from repro.parallel.batch import (BatchOptimizer, optimize_many,
                                   _initial_term)
@@ -251,6 +252,30 @@ class TestResultCodec:
         assert type(decoded.plan) is type(result.plan)
         assert (decoded.derivation.rules_used()
                 == result.derivation.rules_used())
+
+    @pytest.mark.parametrize("tag", ["fused", "codegen"])
+    def test_retired_plan_tags_are_rejected(self, tag):
+        """The fused and codegen plan payloads are retired: a payload
+        carrying either tag is refused like any unknown tag."""
+        query = paper_queries().t2k_source.to_portable()
+        with pytest.raises(PortableTermError,
+                           match=f"unknown plan payload tag '{tag}'"):
+            decode_plan((tag, {"query": query, "columnar": False}))
+
+    def test_decoded_result_executes_without_an_optimizer(self, db,
+                                                          rulebase):
+        """A result decoded from the wire has no optimizer behind it:
+        it compiles its own kernel and runs it, agreeing with the
+        optimizer's kernel and with the plan."""
+        queries = paper_queries()
+        optimizer = Optimizer()
+        result = optimizer.optimize(queries.kg1, db)
+        decoded = decode_result(encode_result(result), rulebase,
+                                source=queries.kg1)
+        expected = optimizer.execute(queries.kg1, db)
+        assert decoded.execute(db) == expected
+        assert decoded.execute(db, backend="plan") == expected
+        assert optimizer.plan_cache_info()["kernel"]["kernel_misses"] == 1
 
     def test_route_is_stable(self):
         queries = paper_queries()

@@ -272,6 +272,54 @@ class TestServingPool:
             assert _results_match(outcome.result,
                                   sequential.optimize(query, db))
 
+    def test_db_with_nested_function_is_a_serve_error(self):
+        """Spawn cannot pickle a nested function either, and says so
+        with an AttributeError rather than a PicklingError: ``start``
+        still raises ServeError with nothing registered, and the batch
+        layer falls back in-process."""
+        def make_hook():
+            def hook(value):
+                return value
+            return hook
+
+        db = tiny_database()
+        db.hook = make_hook()
+        pool = ServingPool(db, workers=1, backend="process")
+        with pytest.raises(ServeError, match="Can't pickle local object"):
+            pool.start()
+        pool.close()
+        assert pool.worker_ids() == []
+
+        queries = [OQL.format(c=c) for c in (20, 40)]
+        with BatchOptimizer(db, workers=2) as batch:
+            report = batch.optimize_many(queries)
+            assert batch.mode == "in-process"
+            assert "AttributeError" in batch.start_error
+        sequential = Optimizer()
+        for query, outcome in zip(queries, report.results):
+            assert outcome.worker == -1
+            assert _results_match(outcome.result,
+                                  sequential.optimize(query, db))
+
+    def test_attribute_error_in_a_thread_worker_surfaces(self,
+                                                         monkeypatch):
+        """Only a process start maps AttributeError: a thread worker
+        pickles nothing, so one raised there is a program error and
+        propagates unchanged."""
+        start = threading.Thread.start
+
+        def broken(thread):
+            if thread.name.startswith("serve-worker-"):
+                raise AttributeError("not a spawn failure")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", broken)
+        pool = ServingPool(workers=1, backend="thread")
+        with pytest.raises(AttributeError, match="not a spawn failure"):
+            pool.start()
+        monkeypatch.undo()
+        pool.close()
+
 
 # -- a live daemon (thread backend) ------------------------------------------
 
@@ -435,7 +483,13 @@ class TestDaemon:
 
     def test_recycle_under_load_drops_nothing(self, daemon, serve_db):
         """The acceptance bar: a worker recycle during sustained
-        traffic completes with zero dropped or errored requests."""
+        traffic completes with zero dropped or errored requests.
+
+        All 80 requests share one skeleton, so affinity routing puts
+        them on one slot, and its fresh replacement may reach the
+        per-worker in-flight bound and shed (the documented contract).
+        The client honours ``retry_after``, as a well-behaved client
+        of a shedding daemon does."""
         queries = [OQL.format(c=c) for c in range(10, 90)]
         before = set(daemon.server.pool.worker_ids())
         recycles_before = daemon.server.counters["recycles"]
@@ -443,8 +497,9 @@ class TestDaemon:
         async def run():
             async with AsyncServeClient(host="127.0.0.1",
                                         port=daemon.port) as client:
-                tasks = [asyncio.create_task(client.optimize(q))
-                         for q in queries]
+                tasks = [asyncio.create_task(
+                    client.optimize(q, shed_retries=100))
+                    for q in queries]
                 # Recycle both slots while those requests are in flight.
                 await daemon.server.recycle_worker(0)
                 await daemon.server.recycle_worker(1)
@@ -501,6 +556,28 @@ class TestAdmissionControl:
                          port=tight_daemon.port) as client:
             served = client.optimize(OQL.format(c=88), shed_retries=50)
         assert served.raw["ok"]
+
+    def test_async_client_retries_after_shed(self, tight_daemon,
+                                             serve_db):
+        """A burst the tight daemon must shed is served in full when
+        the async client retries: each shed request awaits the
+        response's ``retry_after`` and tries again."""
+        queries = [OQL.format(c=c) for c in range(40, 70)]
+        shed_before = tight_daemon.server.counters["shed"]
+
+        async def run():
+            async with AsyncServeClient(
+                    host="127.0.0.1", port=tight_daemon.port) as client:
+                return await asyncio.gather(
+                    *[client.optimize(q, shed_retries=500)
+                      for q in queries])
+
+        results = asyncio.run(run())
+        assert tight_daemon.server.counters["shed"] > shed_before
+        assert all(r.raw["ok"] for r in results)
+        direct = [Optimizer().optimize(q, serve_db) for q in queries]
+        assert all(_results_match(s.result, d)
+                   for s, d in zip(results, direct))
 
 
 @pytest.mark.slow
