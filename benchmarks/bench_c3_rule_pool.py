@@ -100,40 +100,41 @@ def test_dispatch_scales_with_pool_size(rulebase):
     """Section 4.2's scaling concern: a usable rule system must stay
     fast as the proved pool grows toward 500 rules.  With linear
     dispatch, match attempts grow with pool size even though the extra
-    rules never fire on this workload; head-indexed dispatch keeps the
-    per-node candidate set near-constant.
+    rules never fire on this workload; the default engine's compiled
+    discrimination-tree dispatch keeps the per-node candidate set
+    near-constant.
 
-    Acceptance (ISSUE): at the full pool, indexed ``match_attempts``
-    must be at least 3x below linear — with identical rewrite results.
+    Acceptance: at the full pool, compiled ``match_attempts`` must be
+    at least 3x below linear — with identical rewrite results.
     """
     from repro.rewrite.engine import Engine
 
-    banner("C3b — dispatch cost vs rule-pool size (linear vs indexed)")
+    banner("C3b — dispatch cost vs rule-pool size (linear vs compiled)")
     workload = _pool_workload()
     simplify = rulebase.group("simplify")
     padding = [r for r in rulebase.all_rules() if r not in simplify]
     full_pool = simplify + padding
 
     print(f"{'pool size':>10} {'linear attempts':>16} "
-          f"{'indexed attempts':>17} {'ratio':>7}")
+          f"{'compiled attempts':>18} {'ratio':>7}")
     final_ratio = None
     for size in (len(simplify), len(simplify) + len(padding) // 2,
                  len(full_pool)):
         rules = full_pool[:size]
-        linear = Engine(indexed=False, incremental=False)
-        indexed = Engine()
+        linear = Engine(indexed=False)
+        compiled = Engine()
         linear_results, linear_attempts = _normalize_all(
             linear, workload, rules)
-        indexed_results, indexed_attempts = _normalize_all(
-            indexed, workload, rules)
+        compiled_results, compiled_attempts = _normalize_all(
+            compiled, workload, rules)
         # equivalence: interning makes identity the strongest check
-        for fast, slow in zip(indexed_results, linear_results):
+        for fast, slow in zip(compiled_results, linear_results):
             assert fast is slow
-        assert linear.stats.per_rule == indexed.stats.per_rule
-        final_ratio = linear_attempts / max(1, indexed_attempts)
+        assert linear.stats.per_rule == compiled.stats.per_rule
+        final_ratio = linear_attempts / max(1, compiled_attempts)
         print(f"{size:>10} {linear_attempts:>16} "
-              f"{indexed_attempts:>17} {final_ratio:>6.1f}x")
+              f"{compiled_attempts:>18} {final_ratio:>6.1f}x")
 
     assert final_ratio >= 3.0, (
-        f"indexed dispatch saved only {final_ratio:.1f}x at the full "
+        f"compiled dispatch saved only {final_ratio:.1f}x at the full "
         f"pool (need >= 3x)")

@@ -72,7 +72,8 @@ def main() -> None:
     by_age = optimizer.optimize("select p from p in P where p.age == 30",
                                 db)
     print(by_age.plan.explain())
-    print("rows:", len(by_age.execute(db)), "\n")
+    # backend="plan" runs the index scan printed above
+    print("rows:", len(by_age.execute(db, backend="plan")), "\n")
 
     print("== the COKO module generator ==")
     module = compile_coko(HIDDEN_JOIN_COKO, base, "hidden-join")

@@ -40,15 +40,12 @@ class Context:
     derivation: Derivation | None = None
 
     def dispatch(self, refs: tuple[str, ...]):
-        """``refs`` in the best dispatch structure this context's engine
-        supports: the rule base's cached compiled discrimination tree
-        (:meth:`~repro.rewrite.rulebase.RuleBase.resolve_compiled`), its
-        cached :class:`~repro.rewrite.ruleindex.RuleIndex`, or — for an
-        unindexed engine — the bare rule list."""
-        if self.engine.compiled:
-            return self.rulebase.resolve_compiled(refs)
+        """``refs`` in the dispatch structure this context's engine
+        uses: the rule base's cached compiled discrimination tree
+        (:meth:`~repro.rewrite.rulebase.RuleBase.resolve_compiled`), or
+        — for the linear reference engine — the bare rule list."""
         if self.engine.indexed:
-            return self.rulebase.resolve_index(refs)
+            return self.rulebase.resolve_compiled(refs)
         return self.rulebase.resolve(refs)
 
 

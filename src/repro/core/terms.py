@@ -46,7 +46,7 @@ import enum
 import weakref
 from typing import Hashable, Iterator
 
-from repro.core.errors import (PortableTermError, TermError,
+from repro.core.errors import (EvalError, PortableTermError, TermError,
                                UnknownOperatorError)
 
 
@@ -413,7 +413,7 @@ def _decode_label(payload: object) -> Hashable:
                 counts[_decode_label(entry[0])] = entry[1]
             try:
                 return KBag(counts)
-            except Exception as error:
+            except EvalError as error:  # a count not a non-negative int
                 raise PortableTermError(
                     f"portable bag label rejected: {error}") from error
     raise PortableTermError(f"malformed portable label {payload!r}")

@@ -9,7 +9,6 @@ matrix must agree with it, bag-for-bag:
 axis                    points
 ======================  ==========================================
 engine tier             ``linear`` (reference scan),
-                        ``indexed`` (head-indexed dispatch),
                         ``compiled`` (discrimination trie)
 search                  ``greedy``, ``saturate`` (equality
                         saturation under a small budget)
@@ -19,9 +18,9 @@ execution backend       ``plan`` (physical plans), ``codegen``
                         (compiled source kernels, :mod:`repro.exec`)
 ======================  ==========================================
 
-:func:`default_matrix` enumerates six sequential configurations (the
+:func:`default_matrix` enumerates four sequential configurations (the
 full engine × search cross), two batch configurations and one codegen
-configuration (``codegen-exec``) — nine re-evaluations per query,
+configuration (``codegen-exec``) — seven re-evaluations per query,
 every one compared bag-for-bag against direct evaluation.
 ``codegen-exec`` runs through :meth:`Optimizer.execute`, the path a
 served query takes: skeleton-keyed kernels with parameter slots and
@@ -57,8 +56,7 @@ from repro.schema.paper_schema import paper_schema
 
 #: Engine tier factories, keyed by the names used in config matrices.
 ENGINE_TIERS = {
-    "linear": lambda: Engine(indexed=False, incremental=False),
-    "indexed": lambda: Engine(compiled=False),
+    "linear": lambda: Engine(indexed=False),
     "compiled": lambda: Engine(),
 }
 
@@ -86,11 +84,11 @@ class OracleConfig:
 
 
 def default_matrix(*, batch_workers: int = 1) -> tuple[OracleConfig, ...]:
-    """The full cross: 3 engine tiers × 2 searches, plus 2 batch
+    """The full cross: 2 engine tiers × 2 searches, plus 2 batch
     front-end configs (greedy and saturate), plus 1 codegen config
-    (the default executor) — 9 configurations."""
+    (the default executor) — 7 configurations."""
     configs = [OracleConfig(f"{engine}-{search}", engine, search)
-               for engine in ("linear", "indexed", "compiled")
+               for engine in ENGINE_TIERS
                for search in ("greedy", "saturate")]
     configs += [OracleConfig(f"batch-{search}", "compiled", search,
                              batch=True, workers=batch_workers)
@@ -102,7 +100,7 @@ def default_matrix(*, batch_workers: int = 1) -> tuple[OracleConfig, ...]:
 
 def sequential_matrix() -> tuple[OracleConfig, ...]:
     """The sequential configurations only (no batch front-end): the
-    six engine × search configs plus ``codegen-exec``."""
+    four engine × search configs plus ``codegen-exec``."""
     return tuple(c for c in default_matrix() if not c.batch)
 
 

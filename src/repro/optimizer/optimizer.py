@@ -34,11 +34,11 @@ Results are memoized in a **two-level cross-call plan cache**:
 * The **exact** level keys on the interned initial KOLA term, the
   rulebase generation, the database's stats fingerprint and the search
   mode: re-optimizing a literally repeated query (the serving hot
-  path) is a dictionary hit.  The cache is a hash-sharded LRU
-  (:class:`~repro.parallel.cache.ShardedLRUCache`) — LRU so skewed
-  traffic keeps its hot plans cached, sharded so the batch layer
-  (:mod:`repro.parallel.batch`) can place the shards in worker
-  processes and scale aggregate capacity with the pool.
+  path) is a dictionary hit.  The cache is an
+  :class:`~repro.parallel.cache.LRUCache`, so skewed traffic keeps its
+  hot plans cached.  Across a worker pool each worker keeps its own
+  cache, and skeleton routing (:func:`repro.serve.pool.route_of`)
+  sends every member of a query family to the same one.
 * The **parameterized** level keys on the constant-abstracted
   *skeleton* (:func:`~repro.core.terms.abstract_constants`): queries
   differing only in scalar constants share one cached entry whose
@@ -224,8 +224,6 @@ class Optimizer:
         search: default search mode, ``"greedy"`` or ``"saturate"``
             (overridable per :meth:`optimize` call).
         saturation_budget: budgets for saturate-mode runs.
-        plan_cache_shards: shard count of the plan cache (the global
-            capacity bound is unaffected).
         plan_cache_max: capacity of the exact-level plan cache
             (defaults to :attr:`PLAN_CACHE_MAX`) — the batch layer
             raises it so an in-process pool's single cache matches the
@@ -236,11 +234,8 @@ class Optimizer:
             byte-for-byte the pre-abstraction behavior.
     """
 
-    #: Cap on cached optimize results (LRU eviction, across all shards).
+    #: Cap on cached optimize results (LRU eviction).
     PLAN_CACHE_MAX = 1024
-
-    #: Default plan-cache shard count.
-    PLAN_CACHE_SHARDS = 4
 
     #: Cap on parameterized (skeleton-keyed) plan entries.
     PARAM_CACHE_MAX = 256
@@ -262,11 +257,10 @@ class Optimizer:
                  engine: Engine | None = None,
                  search: str = "greedy",
                  saturation_budget: SaturationBudget | None = None,
-                 plan_cache_shards: int | None = None,
                  plan_cache_max: int | None = None,
                  abstract_cache: bool = True) -> None:
         from repro.optimizer.indexes import IndexCatalog
-        from repro.parallel.cache import LRUCache, ShardedLRUCache
+        from repro.parallel.cache import LRUCache
         if search not in SEARCH_MODES:
             raise ValueError(f"unknown search mode {search!r}; "
                              f"expected one of {SEARCH_MODES}")
@@ -278,9 +272,7 @@ class Optimizer:
         self.saturation_budget = saturation_budget or SaturationBudget()
         self._plan_cache_max = plan_cache_max
         self.abstract_cache = abstract_cache
-        self._plan_cache = ShardedLRUCache(
-            self.plan_cache_max,
-            shards=plan_cache_shards or self.PLAN_CACHE_SHARDS)
+        self._plan_cache = LRUCache(self.plan_cache_max)
         self._param_cache = LRUCache(self.PARAM_CACHE_MAX)
         self._warm_pool = LRUCache(self.WARM_POOL_MAX)
         self._param_stats = {"hits": 0, "misses": 0, "blocked": 0,

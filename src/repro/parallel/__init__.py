@@ -8,16 +8,14 @@ Public surface:
 * :class:`~repro.parallel.batch.BatchOptimizer` — the reusable batch
   front-end behind it, for callers that want warm workers across
   batches.
-* :class:`~repro.parallel.cache.LRUCache` /
-  :class:`~repro.parallel.cache.ShardedLRUCache` — the bounded LRU
-  caches the serving layers share.
+* :class:`~repro.parallel.cache.LRUCache` — the bounded LRU cache the
+  serving layers share.
 """
 
-from repro.parallel.cache import (LRUCache, ShardedLRUCache,
-                                  merge_cache_info)
+from repro.parallel.cache import LRUCache, merge_cache_info
 
 __all__ = [
-    "LRUCache", "ShardedLRUCache", "merge_cache_info",
+    "LRUCache", "merge_cache_info",
     "optimize_many", "BatchOptimizer", "BatchReport", "BatchResult",
 ]
 

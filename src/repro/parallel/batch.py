@@ -13,11 +13,11 @@ close.  This module adds what is particular to a batch:
 
 * **Largest-first submission.**  Queries are submitted in decreasing
   term size, so each worker starts its heaviest rewrites first
-  (shorter makespan when sizes are skewed).  Skeleton affinity makes
-  the per-worker plan caches the shards of one batch-wide cache: every
-  member of a parameterized query family lands on the worker that
-  cached its skeleton, and a corpus with more distinct queries than
-  one cache holds fits in the pool's combined shards.
+  (shorter makespan when sizes are skewed).  Skeleton affinity
+  partitions the corpus over the per-worker plan caches: every member
+  of a parameterized query family lands on the worker that cached its
+  skeleton, and a corpus with more distinct queries than one cache
+  holds can fit in the workers' caches combined.
 
 * **Parent-side decoding.**  Results return as portable payload dicts
   (:mod:`repro.parallel.portable`) and re-intern here, so hash-consing
@@ -163,11 +163,11 @@ class BatchOptimizer:
     def _fallback(self) -> Optimizer:
         """The in-process optimizer (fallback runs, replans, reruns).
 
-        Its plan cache gets the *aggregate* capacity the pool's shards
-        would have had (``PLAN_CACHE_MAX × workers`` unless the caller
-        pinned ``plan_cache_max``): when a pool falls back in-process,
-        a corpus sized for the pool's combined shards must not thrash
-        one default-sized cache.
+        Its plan cache gets the *aggregate* capacity the pool's
+        workers would have had (``PLAN_CACHE_MAX × workers`` unless the
+        caller pinned ``plan_cache_max``): when a pool falls back
+        in-process, a corpus sized for the workers' caches combined
+        must not thrash one default-sized cache.
         """
         if self._local is None:
             capacity = (self.plan_cache_max

@@ -1,24 +1,12 @@
-"""Bounded LRU caches: single-shard and hash-sharded.
+"""Bounded LRU caches.
 
 The serving layers (plan cache, normal-form cache, cost memo) used
 FIFO-bounded dicts: under skewed traffic FIFO evicts hot entries just
 because they are *old*, so a popular query can be evicted while a
 one-off survives.  :class:`LRUCache` fixes the policy — every hit
 refreshes the entry — and keeps the same hit/miss/eviction counters
-the old dicts exposed.
-
-:class:`ShardedLRUCache` splits one logical cache over independent
-LRU shards keyed by entry hash.  In-process this bounds the cost of
-eviction bookkeeping per shard; across a worker pool the *same*
-hash-routing assigns each key to one worker, so per-worker caches
-become the shards of one batch-wide cache whose aggregate capacity
-scales with the pool (see :mod:`repro.parallel.batch`).  Shard stats
-merge into a single report via :func:`merge_cache_info`.
-
-The capacity bound is *global*: a put that pushes the total past
-``max_size`` evicts the least-recent entry of the fullest shard, so a
-skewed key distribution cannot grow the cache past its budget (and a
-single-shard cache degenerates to exact LRU).
+the old dicts exposed.  :func:`merge_cache_info` sums the stats of
+several caches (one per pool worker) into one report.
 """
 
 from __future__ import annotations
@@ -98,67 +86,8 @@ class LRUCache:
                 "evictions": self.evictions}
 
 
-class ShardedLRUCache:
-    """One logical LRU cache split over hash-addressed shards.
-
-    Keys route to ``hash(key) % shards``; each shard keeps its own
-    recency order.  The capacity bound is global: when the total size
-    exceeds it, the fullest shard evicts its least-recent entry.
-    """
-
-    __slots__ = ("shard_count", "_shards")
-
-    def __init__(self, max_size: int, shards: int = 1) -> None:
-        if shards < 1:
-            raise ValueError("shard count must be >= 1")
-        self.shard_count = shards
-        # Per-shard max_size is only a backstop; the global bound in
-        # :meth:`put` is what callers observe.
-        self._shards = tuple(LRUCache(max(1, max_size))
-                             for _ in range(shards))
-
-    def shard_of(self, key) -> int:
-        """The shard index ``key`` routes to (stable within a process;
-        the batch layer uses portable-payload hashes for cross-process
-        stability instead)."""
-        return hash(key) % self.shard_count
-
-    def shard(self, index: int) -> LRUCache:
-        return self._shards[index]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, key) -> bool:
-        return key in self._shards[self.shard_of(key)]
-
-    def get(self, key, default=None):
-        return self._shards[self.shard_of(key)].get(key, default)
-
-    def put(self, key, value, max_size: int | None = None) -> None:
-        shard = self._shards[self.shard_of(key)]
-        shard.put(key, value, max_size=len(shard) + 1)  # no local evict
-        bound = shard.max_size if max_size is None else max(1, max_size)
-        while len(self) > bound:
-            fullest = max(self._shards, key=len)
-            fullest.evict_lru()
-
-    def clear(self) -> None:
-        for shard in self._shards:
-            shard.clear()
-
-    def info(self) -> dict:
-        merged = merge_cache_info([shard.info() for shard in self._shards])
-        merged["max_size"] = self._shards[0].max_size
-        merged["shards"] = self.shard_count
-        return merged
-
-    def per_shard_info(self) -> list[dict]:
-        return [shard.info() for shard in self._shards]
-
-
 def merge_cache_info(infos: list[dict]) -> dict:
-    """Merge per-shard (or per-worker) cache stat dicts into one.
+    """Merge per-worker cache stat dicts into one.
 
     Sizes, capacities and traffic counters add; unknown keys are
     ignored so callers can merge enriched dicts too.

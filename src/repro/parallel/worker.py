@@ -7,9 +7,9 @@ across every task the worker processes.  :class:`repro.serve.pool
 .ServingPool` is the one driver of this loop — for the serving daemon
 and the batch layer alike — and routes each query to a fixed worker by
 a stable hash of its skeleton (:func:`repro.serve.pool.route_of`), so
-the per-worker plan caches behave as the shards of one pool-wide
-:class:`~repro.parallel.cache.ShardedLRUCache` whose aggregate capacity
-scales with the pool.
+every member of a query family meets the one per-worker plan cache
+that holds its skeleton, and the pool's aggregate plan-cache capacity
+grows with its worker count.
 
 Protocol (all queue traffic is picklable):
 

@@ -20,31 +20,32 @@ that make the paper's *small* rules effective on *large* queries:
 Both mechanisms are *engine* features, not rule features: the rules stay
 declarative.
 
-Dispatch is **compiled** by default: rule lists are first bucketed by
-LHS head operator (:mod:`repro.rewrite.ruleindex`) and then compiled
-into a discrimination tree (:mod:`repro.rewrite.discrimination`), so one
-traversal of a subject node yields the full ordered candidate set with
-bindings already accumulated — per-rule ``match()`` walks survive only
-as the fallback for multi-segment chain patterns.  Whole subtrees that
-contain no candidate head operator are pruned using the per-term
-contained-operator cache.  ``normalize`` is **incremental**: instead of
-rescanning from the root after every local rewrite, it resumes the scan
-at the changed region (the untouched, already-rejected prefix of the
-traversal is provably still rejected — see ``_resume_path``).  It also
-carries a cross-call **normal-form cache** keyed by ``(interned term,
-rule-set generation, strategy)``, so repeated simplification passes over
-shared subqueries are O(1) lookups that still replay their derivation
-steps and fire counts.  All optimizations preserve the linear engine's
-semantics bit for bit — same fixpoints, same derivation steps, same
-per-rule fire counts; pass ``Engine(compiled=False)`` for the PR 1
-head-indexed engine and ``Engine(indexed=False, incremental=False)``
-for the reference linear behavior (the equivalence property tests
-compare all of them).
+The engine has two dispatch paths.  The default is **compiled**: rule
+lists are indexed by LHS head operator (:mod:`repro.rewrite.ruleindex`)
+and compiled into a discrimination tree
+(:mod:`repro.rewrite.discrimination`), so one traversal of a subject
+node yields the full ordered candidate set with bindings already
+accumulated — per-rule ``match()`` walks survive only as the fallback
+for multi-segment chain patterns.  Whole subtrees that contain no
+candidate head operator are pruned using the per-term
+contained-operator cache.  Its ``normalize`` is **incremental**:
+instead of rescanning from the root after every local rewrite, it
+resumes the scan at the changed region (the untouched, already-rejected
+prefix of the traversal is provably still rejected — see
+``_resume_path``).  It also carries a cross-call **normal-form cache**
+keyed by ``(interned term, rule-set generation, strategy)``, so
+repeated simplification passes over shared subqueries are O(1) lookups
+that still replay their derivation steps and fire counts.
+``Engine(indexed=False)`` is the **linear** reference: every rule is
+attempted at every node, and ``normalize`` restarts from the root after
+every step with no cache.  The compiled path preserves the linear
+engine's semantics bit for bit — same fixpoints, same derivation steps,
+same per-rule fire counts — which the equivalence property tests check.
 
 An :class:`EngineStats` counter records nodes visited, match attempts,
 attempts skipped by the index, pruned subtrees, trie-node visits,
 candidate-set sizes, normal-form-cache traffic and canon-cache traffic,
-which the dispatch benchmarks use to quantify matching costs.
+which the benchmarks read to quantify matching costs.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from repro.rewrite.match import match
 from repro.rewrite.pattern import (build_chain, canon, canon_cache_stats,
                                    flatten_compose, instantiate)
 from repro.rewrite.rule import NO_ORACLE, PropertyOracle, Rule
-from repro.rewrite.ruleindex import RuleIndex, rule_index
+from repro.rewrite.ruleindex import rule_index
 from repro.rewrite.trace import Derivation
 
 
@@ -100,7 +101,8 @@ class EngineStats:
     ``attempt_log``, when set to a list, receives the name of every
     rule whose match is attempted, in attempt order — the equivalence
     suite uses it to check that compiled dispatch only ever *removes*
-    attempts without reordering the survivors.
+    attempts the linear reference makes, without reordering the
+    survivors.
     """
 
     nodes_visited: int = 0
@@ -231,40 +233,30 @@ class Engine:
         oracle: decides precondition goals for conditional rules
             (defaults to an oracle that establishes nothing, so
             conditional rules are inert).
-        indexed: dispatch via a head-operator :class:`RuleIndex` and
-            prune irrelevant subtrees (default).  ``False`` gives the
-            reference linear engine: every rule attempted at every node.
-        incremental: resume ``normalize`` scans at the changed region
-            instead of the root (default).  ``False`` restarts from the
-            root after every step, like the reference engine.
-        compiled: dispatch through the pool's discrimination tree
-            (:class:`~repro.rewrite.discrimination.CompiledRuleSet`) so
-            one traversal per node yields all candidates with bindings
-            (default; requires ``indexed``).  ``False`` gives the PR 1
-            head-indexed engine unchanged — the escape hatch when an
-            oracle or rule set changes behind the engine's back.
-        nf_cache: keep a cross-call normal-form cache keyed by
-            ``(interned term, rule-set generation, strategy)``
-            (default; only active with ``compiled``).  Cache hits
-            replay the memoized derivation steps and fire counts, so
-            results, derivations and ``per_rule`` are unchanged; only
-            the traversal-work counters (nodes, attempts) are skipped.
+        indexed: ``True`` (default) dispatches through the rule pool's
+            discrimination tree
+            (:class:`~repro.rewrite.discrimination.CompiledRuleSet`),
+            prunes subtrees that contain no candidate head operator,
+            resumes ``normalize`` scans at the changed region and keeps
+            a cross-call normal-form cache keyed by ``(interned term,
+            rule-set generation, strategy)``.  Cache hits replay the
+            memoized derivation steps and fire counts; only the
+            traversal-work counters (nodes, attempts) are skipped.
+            ``False`` gives the reference linear engine: every rule
+            attempted at every node, ``normalize`` restarting from the
+            root after every step, no cache.
 
-    All flags are pure optimizations: fixpoints, derivations and
-    per-rule fire counts are identical in every configuration.
+    Fixpoints, derivations and per-rule fire counts are identical on
+    both paths.
     """
 
     #: Cap on memoized normal forms per engine (LRU eviction).
     NF_CACHE_MAX = 4096
 
     def __init__(self, oracle: PropertyOracle = NO_ORACLE, *,
-                 indexed: bool = True, incremental: bool = True,
-                 compiled: bool = True, nf_cache: bool = True) -> None:
+                 indexed: bool = True) -> None:
         self.oracle = oracle
         self.indexed = indexed
-        self.incremental = incremental
-        self.compiled = compiled and indexed
-        self.nf_cache = nf_cache and self.compiled
         self.stats = EngineStats()
         self._nf_cache: dict = {}
 
@@ -283,23 +275,15 @@ class Engine:
                 "misses": self.stats.nf_cache_misses,
                 "evictions": self.stats.nf_cache_evictions}
 
-    def _as_candidates(self,
-                       rules: "list[Rule] | tuple[Rule, ...] | RuleIndex"):
-        """Normalize a rule collection for dispatch: a (memoized)
-        :class:`CompiledRuleSet` when compilation is on, a
-        :class:`RuleIndex` when only indexing is, else a plain list."""
+    def _as_candidates(self, rules):
+        """Normalize a rule collection (list,
+        :class:`~repro.rewrite.ruleindex.RuleIndex` or
+        :class:`CompiledRuleSet`) for dispatch: the (memoized)
+        :class:`CompiledRuleSet` on the compiled path, an iterable of
+        the rules in priority order on the linear one."""
         if isinstance(rules, CompiledRuleSet):
-            if self.compiled:
-                return rules
-            rules = rules.index  # engine opted out of compiled dispatch
-        if isinstance(rules, RuleIndex):
-            if self.compiled:
-                return compiled_ruleset(rules)
-            return rules if self.indexed else list(rules)
-        if self.indexed:
-            index = rule_index(rules)
-            return compiled_ruleset(index) if self.compiled else index
-        return rules
+            return rules if self.indexed else rules.index
+        return compiled_ruleset(rule_index(rules)) if self.indexed else rules
 
     def _note_attempt(self, one_rule: Rule) -> None:
         self.stats.match_attempts += 1
@@ -387,7 +371,8 @@ class Engine:
                      ) -> RewriteResult | None:
         """Apply the first applicable rule at the first matching position.
 
-        ``rules`` is a rule list or a prebuilt :class:`RuleIndex`.
+        ``rules`` is a rule list, a prebuilt
+        :class:`~repro.rewrite.ruleindex.RuleIndex` or a compiled set.
         ``strategy`` is ``"topdown"`` (outermost-first, the default) or
         ``"bottomup"`` (innermost-first).  Rules are tried in list order
         at each position, so list order is priority order.
@@ -401,11 +386,8 @@ class Engine:
     def _prunable(self, node: Term, rules) -> bool:
         """True when no rule in ``rules`` can match anywhere inside
         ``node`` (decided from head operators alone)."""
-        if isinstance(rules, CompiledRuleSet):
-            rules = rules.index
-        if not isinstance(rules, RuleIndex):
-            return False
-        if rules.relevant_to(node.ops):
+        if (not isinstance(rules, CompiledRuleSet)
+                or rules.index.relevant_to(node.ops)):
             return False
         self.stats.subtrees_pruned += 1
         return True
@@ -456,13 +438,7 @@ class Engine:
                     self._iter_compiled_hits(node, rules, windows):
                 return RewriteResult(new_node, one_rule, bindings, path)
             return None
-        if isinstance(rules, RuleIndex):
-            candidates = rules.candidates(node.op)
-            self.stats.attempts_skipped_by_index += (len(rules)
-                                                     - len(candidates))
-        else:
-            candidates = rules
-        for one_rule in candidates:
+        for one_rule in rules:
             outcome = self.try_rule_at(node, one_rule)
             if outcome is not None:
                 new_node, bindings = outcome
@@ -690,7 +666,7 @@ class Engine:
         candidates = self._as_candidates(rules)
         current = canon(term)
         key = None
-        if self.nf_cache and isinstance(candidates, CompiledRuleSet):
+        if self.indexed:
             key = (current, candidates.generation, strategy)
             cached = self._nf_cache.get(key)
             if cached is not None and cached[0].steps_used <= max_steps:
@@ -727,7 +703,7 @@ class Engine:
             if steps_taken is not None:
                 steps_taken.append((result.rule, current, result.term,
                                     result.path))
-            if self.incremental:
+            if self.indexed:
                 resume = _resume_path(current, result.term, result.path)
             current = result.term
         # Cap hit: never memoized (the run may not have converged).
@@ -810,8 +786,6 @@ class Engine:
             return [(one_rule, new_node, bindings)
                     for _, one_rule, new_node, bindings
                     in self._iter_compiled_hits(node, candidates, {})]
-        if isinstance(candidates, RuleIndex):
-            candidates = candidates.candidates(node.op)
         outcomes: list[tuple[Rule, Term, dict]] = []
         for one_rule in candidates:
             outcome = self.try_rule_at(node, one_rule)

@@ -24,11 +24,10 @@ class RuleBase:
     ``group:<name>`` — resolve here (:meth:`resolve`).  Each reference
     tuple a consumer dispatches through (the optimizer's simplify pass,
     a COKO ``Exhaust("r17", "r17b", "group:cleanup")``) gets one lazily
-    built :class:`~repro.rewrite.ruleindex.RuleIndex`
-    (:meth:`resolve_index`) and compiled discrimination tree
-    (:meth:`resolve_compiled`), so a rule block compiles its dispatch
-    once, not once per run; :meth:`group_index`/:meth:`group_compiled`
-    are the one-reference case.
+    built :class:`~repro.rewrite.ruleindex.RuleIndex` and compiled
+    discrimination tree (:meth:`resolve_compiled`), so a rule block
+    compiles its dispatch once, not once per run;
+    :meth:`group_compiled` is the one-reference case.
 
     **Invalidation contract:** every group has a monotonically
     increasing *generation* (:meth:`group_generation`), bumped whenever
@@ -212,18 +211,15 @@ class RuleBase:
         return rules
 
     def _dispatch_entry(self, refs: tuple[str, ...]) -> list:
+        """The cached ``[generation, index, compiled tree]`` entry of
+        ``refs`` (the tree is ``None`` until first compiled), rebuilt on
+        the first lookup after any change to the rule base."""
         entry = self._dispatch.get(refs)
         if entry is None or entry[0] != self._generation_total:
             entry = [self._generation_total,
                      RuleIndex(self.resolve(refs)), None]
             self._dispatch[refs] = entry
         return entry
-
-    def resolve_index(self, refs: tuple[str, ...]) -> RuleIndex:
-        """The cached head-operator :class:`RuleIndex` of ``refs`` (same
-        rules, same priority order as :meth:`resolve`), rebuilt on the
-        first lookup after any change to the rule base."""
-        return self._dispatch_entry(refs)[1]
 
     def resolve_compiled(self, refs: tuple[str, ...]) -> CompiledRuleSet:
         """The cached compiled discrimination tree of ``refs`` (see
@@ -234,10 +230,6 @@ class RuleBase:
         if entry[2] is None:
             entry[2] = compiled_ruleset(entry[1])
         return entry[2]
-
-    def group_index(self, name: str) -> RuleIndex:
-        """:meth:`resolve_index` of the one reference ``group:<name>``."""
-        return self.resolve_index((f"group:{name}",))
 
     def group_compiled(self, name: str) -> CompiledRuleSet:
         """:meth:`resolve_compiled` of the one reference

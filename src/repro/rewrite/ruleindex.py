@@ -1,4 +1,4 @@
-"""Head-indexed rule dispatch.
+"""Head-operator index of a rule list.
 
 The paper's position is that an optimizer should own *many small*
 declarative rules (Section 1.2 reports a pool of 500+ proved rules).  A
@@ -6,26 +6,23 @@ linear engine makes that pool pay a scaling tax: every rule is attempted
 at every node, so match work grows with pool size even though almost
 every attempt fails on the head operator alone.
 
-A :class:`RuleIndex` removes that tax.  It buckets a rule list by the
-LHS head operator (``rule.lhs.op``); at a node with operator *op* the
-engine consults only ``candidates(op)``.  This is *complete* because the
-engine's three application modes all require a head-operator agreement:
+A :class:`RuleIndex` records which LHS head operators (``rule.lhs.op``)
+an ordered rule list uses.  Head-operator agreement is necessary for
+every one of the engine's three application modes:
 
 * **direct match** — :func:`repro.rewrite.match.match` fails immediately
   unless ``pattern.op == subject.op`` (or the pattern is a bare
-  metavariable, kept in a wildcard bucket consulted everywhere);
+  metavariable, which matches anywhere and disables pruning);
 * **chain windows** — only tried when both the rule head and the node
   are ``compose``;
 * **invocation peels** — only tried when both are ``invoke``.
 
-**Priority is preserved**: within ``candidates(op)`` rules appear in
-their original list order, so list order remains priority order exactly
-as with linear dispatch — the index changes *what is skipped*, never
-*what fires first*.
-
-``heads`` exposes the set of indexable head operators; combined with the
-per-term contained-operator cache (:attr:`repro.core.terms.Term.ops`)
-the engine prunes entire subtrees that contain no candidate head at all.
+So combined with the per-term contained-operator cache
+(:attr:`repro.core.terms.Term.ops`), :meth:`RuleIndex.relevant_to` lets
+the engine prune entire subtrees that contain no candidate head at all.
+The compiled discrimination tree
+(:mod:`repro.rewrite.discrimination`) is built from a :class:`RuleIndex`
+and keeps its rule order, so list order remains priority order.
 """
 
 from __future__ import annotations
@@ -39,40 +36,16 @@ from repro.rewrite.rule import Rule
 class RuleIndex:
     """An immutable head-operator index over an ordered rule list."""
 
-    __slots__ = ("rules", "heads", "has_wildcard", "_buckets",
-                 "_wildcard", "_by_op")
+    __slots__ = ("rules", "heads", "has_wildcard")
 
     def __init__(self, rules: Iterable[Rule]) -> None:
         self.rules: tuple[Rule, ...] = tuple(rules)
-        buckets: dict[str, list[tuple[int, Rule]]] = {}
-        wildcard: list[tuple[int, Rule]] = []
-        for position, one_rule in enumerate(self.rules):
-            head = one_rule.lhs.op
-            if head == "meta":
-                wildcard.append((position, one_rule))
-            else:
-                buckets.setdefault(head, []).append((position, one_rule))
-        self._buckets = buckets
-        self._wildcard = wildcard
-        #: Head operators with at least one indexed rule.
-        self.heads: frozenset[str] = frozenset(buckets)
+        ops = {one_rule.lhs.op for one_rule in self.rules}
         #: True when some rule's head is a bare metavariable (matches
         #: any node, so subtree pruning must be disabled).
-        self.has_wildcard: bool = bool(wildcard)
-        self._by_op: dict[str, tuple[Rule, ...]] = {}
-
-    def candidates(self, op: str) -> tuple[Rule, ...]:
-        """The rules that could fire at a node with operator ``op``, in
-        original (priority) order."""
-        merged = self._by_op.get(op)
-        if merged is None:
-            entries = self._buckets.get(op, [])
-            if self._wildcard:
-                entries = sorted(entries + self._wildcard,
-                                 key=lambda pair: pair[0])
-            merged = tuple(one_rule for _, one_rule in entries)
-            self._by_op[op] = merged
-        return merged
+        self.has_wildcard: bool = "meta" in ops
+        #: Head operators with at least one indexed rule.
+        self.heads: frozenset[str] = frozenset(ops - {"meta"})
 
     def relevant_to(self, ops: frozenset[str]) -> bool:
         """Could any indexed rule fire somewhere in a subtree whose
@@ -87,7 +60,7 @@ class RuleIndex:
 
     def __repr__(self) -> str:
         return (f"RuleIndex({len(self.rules)} rules, "
-                f"{len(self.heads)} head buckets)")
+                f"{len(self.heads)} heads)")
 
 
 @lru_cache(maxsize=512)

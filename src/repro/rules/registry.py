@@ -65,9 +65,9 @@ def _shipped() -> RuleBase:
 def standard_rulebase() -> RuleBase:
     """Build the full standard rule base (fresh instance)."""
     base = _shipped().clone()
-    # Warm the per-group dispatch indexes once: every consumer (the
+    # Build each group's rule index once up front: every consumer (the
     # optimizer's simplify pass, COKO strategies, benchmarks) then
-    # shares the same head-indexed view of each group.
+    # compiles its discrimination tree from the same cached entry.
     for group_name in base.group_names():
-        base.group_index(group_name)
+        base._dispatch_entry((f"group:{group_name}",))
     return base

@@ -15,6 +15,7 @@ from repro.core.parser import parse_fun, parse_obj
 from repro.core.terms import (PARAM_TAG, Sort, Term, abstract_constants,
                               abstract_with, from_portable,
                               instantiate_constants, is_param_slot)
+from repro.fuzz.generator import generate_queries
 from repro.optimizer.optimizer import Optimizer
 from repro.parallel.batch import BatchOptimizer, optimize_many
 from repro.rewrite.engine import Engine
@@ -273,6 +274,49 @@ class TestParamCache:
         opt.optimize(queries.kg1, db)
         info = opt.plan_cache_info()["param"]
         assert info["hits"] == 0 and info["misses"] == 0
+
+
+# -- cache soundness over a generated stream ---------------------------------
+
+
+def _int_variants(term):
+    """``term`` followed by its skeleton re-instantiated with three
+    more int vectors (distinct ints per vector, string slots kept, so a
+    query with string slots only repeats and hits the exact level); the
+    first vector starts at 0, the literal the standard pool pins."""
+    skeleton, values = abstract_constants(term)
+    variants = [term]
+    if values:
+        for base in (0, 41, 1000):
+            ints = iter(range(base, base + len(values)))
+            vector = tuple(next(ints) if type(value) is int else value
+                           for value in values)
+            variants.append(instantiate_constants(skeleton, vector))
+    return variants
+
+
+class TestCacheSoundness:
+    def test_cached_stream_matches_uncached(self, rulebase):
+        """One long-lived optimizer with both cache levels on serves
+        every query of a constant-varying fuzz stream exactly as a
+        fresh optimizer without the parameterized level plans it:
+        same best term, plan, estimate and rules — blocked constants
+        included."""
+        db = tiny_database()
+        warm = Optimizer(rulebase=rulebase)
+        assert (int, 0) in warm._blocked_values()
+        for query in generate_queries(120, seed=2026):
+            for term in _int_variants(query):
+                served = warm.optimize(term, db)
+                cold = Optimizer(rulebase=rulebase,
+                                 abstract_cache=False).optimize(term, db)
+                assert served.best_term is cold.best_term, term
+                assert served.plan.explain() == cold.plan.explain(), term
+                assert served.estimated_cost == cold.estimated_cost, term
+                assert (served.derivation.rules_used()
+                        == cold.derivation.rules_used()), term
+        param = warm.plan_cache_info()["param"]
+        assert param["hits"] > 0 and param["blocked"] > 0
 
 
 # -- incremental e-matching and warm e-graph reuse ----------------------------

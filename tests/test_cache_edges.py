@@ -1,7 +1,7 @@
 """Edge cases in the parallel serving layer: degenerate cache
-capacities, single-shard sharding, empty stat merges, and the worker
-pool's dead-worker paths (respawn and resubmit, crash-loop
-abandonment, and the batch layer's in-process rerun)."""
+capacities, empty stat merges, and the worker pool's dead-worker paths
+(respawn and resubmit, crash-loop abandonment, and the batch layer's
+in-process rerun)."""
 
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ import pytest
 from repro.core.parser import parse_query
 from repro.optimizer.optimizer import Optimizer
 from repro.parallel.batch import optimize_many
-from repro.parallel.cache import (LRUCache, ShardedLRUCache,
-                                  merge_cache_info)
+from repro.parallel.cache import LRUCache, merge_cache_info
 from repro.parallel.portable import decode_result
 from repro.rewrite.pattern import canon
 from repro.rules.registry import standard_rulebase
@@ -76,40 +75,6 @@ def test_lru_put_with_override_bound():
     cache.put("last", 99, max_size=2)   # tighter per-call bound
     assert len(cache) == 2
     assert cache.keys() == [4, "last"]
-
-
-# ---------------------------------------------------------------------------
-# ShardedLRUCache
-
-
-def test_single_shard_degenerates_to_exact_lru():
-    sharded = ShardedLRUCache(max_size=2, shards=1)
-    reference = LRUCache(max_size=2)
-    for key, value in [("a", 1), ("b", 2), ("a", 3), ("c", 4)]:
-        sharded.put(key, value)
-        reference.put(key, value)
-    assert sharded.shard(0).keys() == reference.keys()
-    assert len(sharded) == len(reference) == 2
-    assert sharded.get("b") is reference.get("b") is None
-    info = sharded.info()
-    assert info["shards"] == 1
-    assert info["size"] == 2
-
-
-def test_sharded_global_bound_holds_under_skew():
-    """All keys landing in one shard must not grow the cache past the
-    global budget: the fullest shard pays the eviction."""
-    sharded = ShardedLRUCache(max_size=3, shards=4)
-    shard = sharded.shard_of("k0")
-    keys = [f"k{i}" for i in range(40)]
-    skewed = [k for k in keys if sharded.shard_of(k) == shard][:6]
-    assert len(skewed) >= 4             # hash skew exists at this scale
-    for key in skewed:
-        sharded.put(key, key)
-    assert len(sharded) <= 3
-    assert sharded.get(skewed[-1]) == skewed[-1]
-    with pytest.raises(ValueError):
-        ShardedLRUCache(max_size=4, shards=0)
 
 
 # ---------------------------------------------------------------------------

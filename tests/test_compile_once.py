@@ -96,9 +96,9 @@ class TestCompileOnce:
             compiled = ctx.dispatch(refs)
             assert ctx.dispatch(refs) is compiled
             assert list(compiled.rules) == rulebase.resolve(refs)
-        indexed = Context(Engine(compiled=False), rulebase)
-        assert indexed.dispatch(_BLOCK_REFS[0]) \
-            is rulebase.resolve_compiled(_BLOCK_REFS[0]).index
+        linear = Context(Engine(indexed=False), rulebase)
+        assert linear.dispatch(_BLOCK_REFS[0]) \
+            == rulebase.resolve(_BLOCK_REFS[0])
 
     @pytest.mark.parametrize("mutation", ["add", "extend_group",
                                           "load_pack"])

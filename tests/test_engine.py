@@ -7,7 +7,7 @@ from repro.core.eval import eval_obj
 from repro.core.parser import parse_fun, parse_obj
 from repro.core.terms import Sort
 from repro.rewrite.engine import Engine
-from repro.rewrite.pattern import canon
+from repro.rewrite.pattern import build_chain, canon, canon_cache_stats
 from repro.rewrite.rule import rule
 from repro.rewrite.rulebase import RuleBase
 from repro.rewrite.trace import Derivation
@@ -291,16 +291,17 @@ class TestRuleIndex:
     def test_buckets_by_head_and_keeps_order(self):
         from repro.rewrite.ruleindex import RuleIndex
         index = RuleIndex([R1, R11, R2])
-        assert index.candidates("compose") == (R1, R11, R2)
-        assert index.candidates("iterate") == ()
+        assert index.rules == tuple(index) == (R1, R11, R2)
         assert index.heads == {"compose"}
+        assert not index.has_wildcard
         assert len(index) == 3
 
     def test_invoke_bucket(self):
         from repro.rewrite.ruleindex import RuleIndex
         index = RuleIndex([R1, R19])
-        assert index.candidates("invoke") == (R19,)
-        assert index.candidates("compose") == (R1,)
+        assert index.heads == {"compose", "invoke"}
+        assert index.relevant_to(frozenset({"invoke", "setname"}))
+        assert not index.relevant_to(frozenset({"iterate", "prim"}))
 
     def test_rule_index_memoized(self):
         from repro.rewrite.ruleindex import rule_index
@@ -322,8 +323,29 @@ class TestRuleIndex:
         term = canon(parse_fun(
             "flat o iterate(Kp(T), city) o iterate(Kp(T), addr) o id"))
         rules = [R1, R2, R11]
-        fast, slow = Engine(), Engine(indexed=False, incremental=False)
+        fast, slow = Engine(), Engine(indexed=False)
         assert (fast.normalize(term, rules)
                 is slow.normalize(term, rules))
         assert fast.stats.per_rule == slow.stats.per_rule
         assert fast.stats.match_attempts < slow.stats.match_attempts
+
+
+# -- canon cache -------------------------------------------------------------
+
+
+def _fresh_chain(tag: int, length: int = 40):
+    """A chain no previous run has interned: unique ``lit`` labels keep
+    the cons table — and therefore the canon memo — cold."""
+    factors = [C.iterate(C.const_p(C.lit(True)), C.const_f(C.lit((tag, i))))
+               for i in range(length)]
+    return build_chain(factors)
+
+
+def test_canon_cache_effectiveness():
+    before = canon_cache_stats()
+    chain = _fresh_chain(-2)
+    canon(chain)
+    canon(chain)  # second call must be a hit
+    after = canon_cache_stats()
+    assert after.hits > before.hits
+    assert after.size > 0  # live memoized terms are observable

@@ -1,10 +1,10 @@
-"""Equivalence property: the indexed, incremental engine is
-observationally identical to the reference linear engine.
+"""Equivalence property: the default engine is observationally
+identical to the reference linear engine.
 
-The optimizations in :mod:`repro.rewrite.engine` — head-indexed rule
-dispatch (:class:`~repro.rewrite.ruleindex.RuleIndex`), subtree pruning
-by contained-operator sets, and incremental resume after each rewrite —
-are pure dispatch/traversal shortcuts.  They must never change *which*
+The optimizations in :mod:`repro.rewrite.engine` — compiled rule
+dispatch, subtree pruning by contained-operator sets, incremental
+resume after each rewrite and the normal-form cache — are pure
+dispatch/traversal shortcuts.  They must never change *which*
 rule fires *where*: for every input term, rule group, and strategy the
 two engines must produce the same normal form, the same derivation step
 sequence (rules, forms, and paths), and the same per-rule fire counts.
@@ -49,8 +49,8 @@ def test_indexed_engine_matches_linear_reference(group, strategy,
     """Same results, same derivations, same fire counts — per group,
     per strategy, across the whole fuzz corpus."""
     rules = rulebase.group(group)
-    fast = Engine()                                  # indexed + incremental
-    slow = Engine(indexed=False, incremental=False)  # reference linear
+    fast = Engine()                                  # compiled
+    slow = Engine(indexed=False)                     # reference linear
 
     for query in _QUERIES:
         fast_result, fast_steps, fast_counts = _run(fast, query, rules,
@@ -69,7 +69,7 @@ def test_indexed_engine_never_attempts_more_matches(rulebase):
     """The index only ever *removes* match attempts."""
     rules = rulebase.group("simplify")
     fast = Engine()
-    slow = Engine(indexed=False, incremental=False)
+    slow = Engine(indexed=False)
     fast.stats.reset()
     slow.stats.reset()
     for query in _QUERIES:
@@ -78,22 +78,3 @@ def test_indexed_engine_never_attempts_more_matches(rulebase):
     assert fast.stats.match_attempts <= slow.stats.match_attempts
     assert fast.stats.rewrites == slow.stats.rewrites
 
-
-@pytest.mark.parametrize("indexed,incremental",
-                         [(True, False), (False, True)])
-def test_each_optimization_is_independently_equivalent(indexed,
-                                                       incremental,
-                                                       rulebase):
-    """Indexing and incremental resume must each be sound in isolation,
-    not only in the default combination."""
-    rules = rulebase.group("simplify")
-    variant = Engine(indexed=indexed, incremental=incremental)
-    reference = Engine(indexed=False, incremental=False)
-    for query in _QUERIES:
-        v_result, v_steps, v_counts = _run(variant, query, rules,
-                                           "topdown")
-        r_result, r_steps, r_counts = _run(reference, query, rules,
-                                           "topdown")
-        assert v_result.term is r_result.term
-        assert v_steps == r_steps
-        assert v_counts == r_counts

@@ -15,9 +15,9 @@ from repro.core.pretty import pretty
 from repro.core.terms import Term
 from repro.core.types import well_typed
 from repro.fuzz.generator import FuzzConfig, QueryGenerator
-from repro.fuzz.oracle import (DifferentialOracle, bag_equal,
-                               default_matrix, sequential_matrix,
-                               unguarded_rulebase)
+from repro.fuzz.oracle import (ENGINE_TIERS, DifferentialOracle,
+                               bag_equal, default_matrix,
+                               sequential_matrix, unguarded_rulebase)
 from repro.fuzz.shrink import _positions, _replace, shrink, sort_of
 from repro.schema.paper_schema import paper_schema
 
@@ -33,10 +33,11 @@ MUTANT_SEED = 1405
 def test_default_matrix_covers_engines_and_searches():
     configs = default_matrix(batch_workers=2)
     names = {c.name for c in configs}
-    assert len(names) == len(configs) >= 6
+    assert len(names) == len(configs) == 7
+    assert len(sequential_matrix()) == 5
     engines = {c.engine for c in configs}
     searches = {c.search for c in configs}
-    assert engines == {"linear", "indexed", "compiled"}
+    assert engines == set(ENGINE_TIERS) == {"linear", "compiled"}
     assert searches == {"greedy", "saturate"}
     assert any(c.batch for c in configs)
     assert {c.name for c in sequential_matrix()} <= names

@@ -14,8 +14,7 @@ from repro.core.errors import PortableTermError
 from repro.optimizer.optimizer import Optimizer
 from repro.parallel.batch import (BatchOptimizer, optimize_many,
                                   _initial_term)
-from repro.parallel.cache import (LRUCache, ShardedLRUCache,
-                                  merge_cache_info)
+from repro.parallel.cache import LRUCache, merge_cache_info
 from repro.parallel.portable import (decode_plan, decode_result,
                                      encode_plan, encode_result)
 from repro.optimizer.physical import InterpretPlan, JoinNestPlan
@@ -90,32 +89,6 @@ class TestLRUCache:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             LRUCache(0)
-
-
-class TestShardedLRUCache:
-    def test_routes_consistently(self):
-        cache = ShardedLRUCache(max_size=64, shards=4)
-        for key in range(50):
-            assert cache.shard_of(key) == cache.shard_of(key)
-        cache.put("k", "v")
-        assert cache.get("k") == "v" and "k" in cache
-
-    def test_global_capacity_bound(self):
-        cache = ShardedLRUCache(max_size=64, shards=4)
-        for key in range(10):
-            cache.put(key, key, max_size=3)
-        assert len(cache) == 3
-
-    def test_merged_info(self):
-        cache = ShardedLRUCache(max_size=8, shards=2)
-        for key in range(6):
-            cache.put(key, key)
-        cache.get(0)
-        cache.get("missing")
-        info = cache.info()
-        assert info["size"] == 6 and info["shards"] == 2
-        assert info["hits"] == 1 and info["misses"] == 1
-        assert len(cache.per_shard_info()) == 2
 
     def test_merge_cache_info_sums(self):
         merged = merge_cache_info([

@@ -194,6 +194,8 @@ class TestRejection:
         ("kola-term", PORTABLE_VERSION, (("id", ("x",), None),)),
         ("kola-term", PORTABLE_VERSION, (("lit", (), ("sort", "bogus")),)),
         ("kola-term", PORTABLE_VERSION, (("lit", (), ("weird", ())),)),
+        ("kola-term", PORTABLE_VERSION, (("lit", (), ("bag", ((1, -1),))),)),
+        ("kola-term", PORTABLE_VERSION, (("lit", (), ("bag", ((1, "2"),))),)),
     ])
     def test_malformed_payloads_rejected(self, payload):
         with pytest.raises(PortableTermError) as excinfo:

@@ -198,9 +198,9 @@ class TestLoadPack:
 
     def test_load_invalidates_group_caches(self):
         base = standard_rulebase()
-        index_before = base.group_index("simplify")
+        compiled_before = base.group_compiled("simplify")
         base.load_pack(SOUND_PACK, verify=False)
-        assert base.group_index("simplify") is not index_before
+        assert base.group_compiled("simplify") is not compiled_before
 
     def test_verified_load_admits_sound_pack(self):
         base = RuleBase()

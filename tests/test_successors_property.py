@@ -3,9 +3,9 @@
 The saturation driver and the equational prover both consume
 ``successors`` as "every (rule, position) rewrite, exactly once, in
 rule-major order".  These tests pin that contract down — and pin it
-down *identically* across all three dispatch tiers (linear scan,
-head-indexed, compiled discrimination tree), so a dispatch optimization
-can never silently drop, duplicate, or reorder a rewrite.
+down *identically* across both dispatch tiers (linear scan, compiled
+discrimination tree), so a dispatch optimization can never silently
+drop, duplicate, or reorder a rewrite.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ def _query_pool():
 
 _QUERIES = _query_pool()
 
-#: The three dispatch tiers, least to most optimized.  Fresh engines
-#: per call would also work; the tiers hold no per-term state beyond
-#: the normal-form cache, which ``successors`` does not consult.
+#: The two dispatch tiers, reference first.  Fresh engines per call
+#: would also work; the tiers hold no per-term state beyond the
+#: normal-form cache, which ``successors`` does not consult.
 _TIERS = {
-    "linear": Engine(indexed=False, incremental=False),
-    "indexed": Engine(compiled=False),
+    "linear": Engine(indexed=False),
     "compiled": Engine(),
 }
 
@@ -90,16 +89,15 @@ def test_rule_major_order(seed, rulebase):
 @given(seed=st.integers(0, 50_000))
 @settings(max_examples=30, deadline=None)
 def test_dispatch_tiers_agree(seed, rulebase):
-    """Linear scan, head-indexed and compiled dispatch must return the
-    *same* rewrites — same rules, same positions, same produced terms,
-    same order."""
+    """Linear scan and compiled dispatch must return the *same*
+    rewrites — same rules, same positions, same produced terms, same
+    order."""
     rng = random.Random(seed)
     term = rng.choice(_QUERIES)
     rules = rng.sample(_rule_pool(rulebase), k=rng.randint(1, 20))
     footprints = {name: _signature(tier.successors(term, rules))
                   for name, tier in _TIERS.items()}
-    assert footprints["linear"] == footprints["indexed"]
-    assert footprints["indexed"] == footprints["compiled"]
+    assert footprints["linear"] == footprints["compiled"]
 
 
 def test_successors_results_are_canonical(rulebase):

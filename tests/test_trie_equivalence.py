@@ -1,5 +1,5 @@
 """Equivalence property: compiled (discrimination-tree) dispatch is
-observationally identical to the uncompiled engines.
+observationally identical to the linear reference engine.
 
 The compiled matcher (:mod:`repro.rewrite.discrimination`) must be a
 pure dispatch shortcut: for every input term, rule group and strategy
@@ -68,48 +68,43 @@ def _subterms(term):
 @pytest.mark.parametrize("group", _GROUPS)
 def test_compiled_engine_matches_uncompiled(group, strategy, rulebase):
     """Same results, derivations and fire counts — per group, per
-    strategy, across the whole fuzz corpus, against both the PR 1
-    head-indexed engine and the reference linear engine."""
+    strategy, across the whole fuzz corpus, against the reference
+    linear engine."""
     rules = rulebase.group(group)
     compiled = Engine()                                  # discrimination tree
-    indexed = Engine(compiled=False)                     # PR 1 engine
-    linear = Engine(indexed=False, incremental=False)    # reference
+    linear = Engine(indexed=False)                       # reference
 
     for query in _QUERIES:
         c_result, c_steps, c_counts = _run(compiled, query, rules,
                                            strategy)
-        i_result, i_steps, i_counts = _run(indexed, query, rules,
-                                           strategy)
         l_result, l_steps, l_counts = _run(linear, query, rules,
                                            strategy)
         # interning makes "same term" an identity check
-        assert c_result.term is i_result.term is l_result.term
-        assert c_result.steps_used == i_result.steps_used \
-            == l_result.steps_used
-        assert c_result.reached_fixpoint == i_result.reached_fixpoint \
-            == l_result.reached_fixpoint
-        assert c_steps == i_steps == l_steps
-        assert c_counts == i_counts == l_counts
+        assert c_result.term is l_result.term
+        assert c_result.steps_used == l_result.steps_used
+        assert c_result.reached_fixpoint == l_result.reached_fixpoint
+        assert c_steps == l_steps
+        assert c_counts == l_counts
 
 
 def test_compiled_attempt_order_is_a_subsequence(rulebase):
     """Compiled dispatch only *removes* match attempts; the attempts it
-    does make happen in exactly the uncompiled engine's order."""
+    does make happen in exactly the linear reference engine's order."""
     for group in _GROUPS:
         rules = rulebase.group(group)
-        compiled = Engine(nf_cache=False)
-        indexed = Engine(compiled=False)
+        compiled = Engine()
+        linear = Engine(indexed=False)
         compiled.stats.attempt_log = []
-        indexed.stats.attempt_log = []
+        linear.stats.attempt_log = []
         for query in _QUERIES:
             compiled.stats.reset()
-            indexed.stats.reset()
+            linear.stats.reset()
             compiled.normalize_result(query, rules, max_steps=_MAX_STEPS)
-            indexed.normalize_result(query, rules, max_steps=_MAX_STEPS)
+            linear.normalize_result(query, rules, max_steps=_MAX_STEPS)
             assert len(compiled.stats.attempt_log) \
-                <= len(indexed.stats.attempt_log)
+                <= len(linear.stats.attempt_log)
             assert _is_subsequence(compiled.stats.attempt_log,
-                                   indexed.stats.attempt_log), (
+                                   linear.stats.attempt_log), (
                 f"attempt order diverged on group {group!r}")
 
 
@@ -137,16 +132,14 @@ def _run_figure_pipeline(engine, rulebase):
 
 def test_figure_derivations_identical(rulebase):
     """The paper's derivation pipelines replay step-for-step identically
-    under compiled and uncompiled dispatch."""
+    under compiled and linear dispatch."""
     compiled_out, compiled_steps = _run_figure_pipeline(Engine(),
                                                        rulebase)
-    indexed_out, indexed_steps = _run_figure_pipeline(
-        Engine(compiled=False), rulebase)
     linear_out, linear_steps = _run_figure_pipeline(
-        Engine(indexed=False, incremental=False), rulebase)
-    for fast, mid, slow in zip(compiled_out, indexed_out, linear_out):
-        assert fast is mid is slow
-    assert compiled_steps == indexed_steps == linear_steps
+        Engine(indexed=False), rulebase)
+    for fast, slow in zip(compiled_out, linear_out):
+        assert fast is slow
+    assert compiled_steps == linear_steps
 
 
 def test_trie_retrieval_matches_match_oracle(rulebase):
@@ -256,7 +249,7 @@ def test_prover_successors_order_preserved(rulebase):
     per-rule ``rewrite_everywhere`` results, in rule-major order."""
     rules = rulebase.group("fig4")
     compiled = Engine()
-    reference = Engine(compiled=False)
+    reference = Engine(indexed=False)
     for query in _QUERIES:
         pooled = compiled.successors(query, tuple(rules))
         per_rule = []
