@@ -419,41 +419,67 @@ def _decode_label(payload: object) -> Hashable:
     raise PortableTermError(f"malformed portable label {payload!r}")
 
 
-def _encode_node(root: Term) -> tuple:
-    """Flat post-order node table: each entry is ``(op, child_indices,
-    label)``, children referring to earlier entries; the last entry is
-    the root.  Flat (not nested) so arbitrarily deep terms survive
-    pickling, and shared (interned) subterms are encoded exactly once —
-    the table is a DAG just like the term it mirrors."""
-    index: dict[Term, int] = {}
-    nodes: list[tuple] = []
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node in index:
+class NodeTable:
+    """A flat post-order node table that several root terms share.
+
+    Each entry is ``(op, child_indices, label)``, children referring to
+    earlier entries.  :meth:`add` appends the nodes of a root the table
+    does not hold yet (children first) and returns the root's index, so
+    roots that share subterms — one term, or the forms and derivation
+    steps of one optimize result — encode each distinct node exactly
+    once.  Flat (not nested) so arbitrarily deep terms survive
+    pickling; the table is a DAG just like the terms it mirrors."""
+
+    __slots__ = ("index", "nodes")
+
+    def __init__(self) -> None:
+        self.index: dict[Term, int] = {}
+        self.nodes: list[tuple] = []
+
+    def add(self, root: Term) -> int:
+        """Encode ``root`` into the table; returns its entry index."""
+        index = self.index
+        nodes = self.nodes
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if node in index:
+                stack.pop()
+                continue
+            pending = [child for child in node.args if child not in index]
+            if pending:
+                stack.extend(pending)
+                continue
             stack.pop()
-            continue
-        pending = [child for child in node.args if child not in index]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        nodes.append((node.op,
-                      tuple(index[child] for child in node.args),
-                      _encode_label(node.label)))
-        index[node] = len(nodes) - 1
-    return tuple(nodes)
+            nodes.append((node.op,
+                          tuple(index[child] for child in node.args),
+                          _encode_label(node.label)))
+            index[node] = len(nodes) - 1
+        return index[root]
 
 
-def _decode_node(table: object) -> Term:
-    """Re-intern a flat node table bottom-up.
+def _encode_node(root: Term) -> tuple:
+    """The node table of one term; the last entry is the root."""
+    table = NodeTable()
+    table.add(root)
+    return tuple(table.nodes)
+
+
+def decode_table(table: object) -> tuple[Term, ...]:
+    """Re-intern a flat node table bottom-up; returns every entry's
+    term, in table order.
 
     Every node goes through :func:`mk`, so a malformed payload —
     unknown operator, wrong arity, argument of the wrong sort, missing
     or extra label — is rejected with the same checks ordinary
     construction gets, surfaced as :class:`PortableTermError`.  Child
     references must point strictly backwards in the table, which rules
-    out cycles by construction."""
+    out cycles by construction.  Memoized like :func:`from_portable`:
+    a hashable table decoded before is a dictionary probe."""
+    return _memoized(table, _decode_nodes)
+
+
+def _decode_nodes(table: object) -> tuple[Term, ...]:
     if not isinstance(table, (tuple, list)) or not table:
         raise PortableTermError(
             f"portable term node table must be a non-empty sequence, "
@@ -488,16 +514,38 @@ def _decode_node(table: object) -> Term:
             raise PortableTermError(
                 f"portable payload rejected at operator {op!r}: {error}"
                 ) from error
-    return done[-1]
+    return tuple(done)
 
 
-#: Bounded decode memo: payload -> interned term, LRU evicted.  Batch
-#: workers decode the same query and result payloads over and over; a
-#: hit skips the node-table walk (and its per-node ``mk`` validation)
-#: entirely.  Only fully-hashable payloads that decoded successfully
-#: are cached, so the memo is invisible to error behavior.
+#: Bounded decode memo: payload or node table -> what it decodes to,
+#: LRU evicted.  Batch workers decode the same query and result
+#: payloads over and over; a hit skips the node-table walk (and its
+#: per-node ``mk`` validation) entirely.  Only fully-hashable inputs
+#: that decoded successfully are cached, so the memo is invisible to
+#: error behavior.
 _DECODE_MEMO: dict = {}
 _DECODE_MEMO_MAX = 8192
+
+
+def _memoized(key: object, decode):
+    """``decode(key)`` through :data:`_DECODE_MEMO`."""
+    memo = _DECODE_MEMO
+    try:
+        # Hash explicitly: dict.pop on an *empty* dict never hashes
+        # the key, which would let an unhashable list-form payload
+        # slip through to the memo insert below.
+        hash(key)
+        cached = memo.pop(key, None)
+    except TypeError:  # unhashable (list-form) input: decode fully
+        return decode(key)
+    if cached is not None:
+        memo[key] = cached  # refresh LRU recency
+        return cached
+    value = decode(key)
+    if len(memo) >= _DECODE_MEMO_MAX:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 def from_portable(payload: object) -> Term:
@@ -513,19 +561,10 @@ def from_portable(payload: object) -> Term:
             term (wrong container shape, unknown version, unknown
             operator, bad arity/sort, unportable label, or cycles).
     """
-    memo = _DECODE_MEMO
-    try:
-        # Hash explicitly: dict.pop on an *empty* dict never hashes
-        # the key, which would let an unhashable list-form payload
-        # slip through to the memo insert below.
-        hash(payload)
-        cached = memo.pop(payload, None)
-    except TypeError:  # unhashable (list-form) payload: decode fully
-        cached = None
-        memo = None
-    if cached is not None:
-        memo[payload] = cached  # refresh LRU recency
-        return cached
+    return _memoized(payload, _decode_payload)
+
+
+def _decode_payload(payload: object) -> Term:
     if not isinstance(payload, (tuple, list)) or len(payload) != 3:
         raise PortableTermError(
             f"portable term payload must be a (tag, version, node) "
@@ -538,12 +577,7 @@ def from_portable(payload: object) -> Term:
         raise PortableTermError(
             f"unsupported portable term version {version!r} "
             f"(this build reads version {PORTABLE_VERSION})")
-    term = _decode_node(node)
-    if memo is not None:
-        if len(memo) >= _DECODE_MEMO_MAX:
-            del memo[next(iter(memo))]
-        memo[payload] = term
-    return term
+    return _decode_nodes(node)[-1]
 
 
 # -- constant abstraction ------------------------------------------------
@@ -645,7 +679,8 @@ def abstract_constants(term: Term) -> tuple[Term, tuple]:
     return result
 
 
-def instantiate_constants(skeleton: Term, values: tuple) -> Term:
+def instantiate_constants(skeleton: Term, values: tuple,
+                          memo: dict[Term, Term] | None = None) -> Term:
     """The exact inverse of :func:`abstract_constants`: replace each
     parameter slot in ``skeleton`` with ``values[index]``.
 
@@ -658,10 +693,29 @@ def instantiate_constants(skeleton: Term, values: tuple) -> Term:
     An empty binding vector returns ``skeleton`` unchanged — the
     ``(term, ())`` form :func:`abstract_constants` produces for
     non-abstractable terms inverts trivially.
+
+    ``memo`` maps already-instantiated subterms to their results, as in
+    :func:`abstract_with`: pass one dict to every call made with the
+    same ``values``, and forms that share subterms (a cached plan
+    entry's forms and derivation steps) walk each shared node once.
     """
     if not values or "lit" not in skeleton.ops:
         return skeleton
-    rebuilt: dict[Term, Term] = {}
+    return _instantiate(skeleton, values,
+                        {} if memo is None else memo)[0]
+
+
+def _instantiate(skeleton: Term, values: tuple,
+                 rebuilt: dict[Term, Term]) -> tuple[Term, bool]:
+    """:func:`instantiate_constants`' walk.  Also tells whether
+    ``(skeleton, values)`` is exactly the split
+    :func:`abstract_constants` makes of the result: the skeleton spells
+    no abstractable constant of its own, and its slots, met in
+    :func:`abstract_constants`' walk order, number ``0, 1, ...`` and
+    use every value.  (Meaningless when ``rebuilt`` starts non-empty.)
+    """
+    slots = 0
+    exact = True
     stack = [skeleton]
     while stack:
         node = stack[-1]
@@ -673,23 +727,56 @@ def instantiate_constants(skeleton: Term, values: tuple) -> Term:
             stack.extend(reversed(pending))
             continue
         stack.pop()
-        if node.op == "lit" and _slot_shaped(node.label):
-            _, index, type_name = node.label
-            if (type(index) is not int
-                    or not 0 <= index < len(values)):
-                raise TermError(
-                    f"parameter slot index {index!r} out of range for "
-                    f"{len(values)} binding value(s)")
-            value = values[index]
-            if ABSTRACTABLE_SCALARS.get(type(value)) != type_name:
-                raise TermError(
-                    f"parameter slot {index} expects a {type_name}, "
-                    f"got {type(value).__name__} value {value!r}")
-            rebuilt[node] = Term("lit", (), value)
-        else:
-            rebuilt[node] = node.with_args(
-                tuple(rebuilt[child] for child in node.args))
-    return rebuilt[skeleton]
+        if node.op == "lit":
+            label = node.label
+            if _slot_shaped(label):
+                _, index, type_name = label
+                if (type(index) is not int
+                        or not 0 <= index < len(values)):
+                    raise TermError(
+                        f"parameter slot index {index!r} out of range for "
+                        f"{len(values)} binding value(s)")
+                value = values[index]
+                if ABSTRACTABLE_SCALARS.get(type(value)) != type_name:
+                    raise TermError(
+                        f"parameter slot {index} expects a {type_name}, "
+                        f"got {type(value).__name__} value {value!r}")
+                exact = exact and index == slots
+                slots += 1
+                rebuilt[node] = Term("lit", (), value)
+                continue
+            if type(label) in ABSTRACTABLE_SCALARS and label == label:
+                exact = False
+        rebuilt[node] = node.with_args(
+            tuple(rebuilt[child] for child in node.args))
+    return rebuilt[skeleton], exact and slots == len(values)
+
+
+def instantiate_abstraction(skeleton: Term, values: tuple) -> Term:
+    """The term that :func:`abstract_constants` split into ``(skeleton,
+    values)``, with that split recorded as the term's
+    :func:`abstract_constants` memo — so a receiver handed a query
+    already split (the serving pool ships skeleton and values) does not
+    split it again.
+
+    The split is recorded only when it has the exact shape
+    :func:`abstract_constants` produces: ``values`` non-empty, pairwise
+    distinct by ``(type, value)`` and free of NaN, every value used,
+    slots numbered in first-occurrence order, and no abstractable
+    constant left in the skeleton.  The memo therefore always equals a
+    fresh :func:`abstract_constants`, and a pair split some other way
+    can never select another family's plan-cache entry; it is merely
+    instantiated.  An already-memoized term keeps its memo.
+    """
+    if not values or "lit" not in skeleton.ops:
+        return instantiate_constants(skeleton, values)
+    term, exact = _instantiate(skeleton, values, {})
+    if (exact and getattr(term, "_abstract", None) is None
+            and len({(type(value), value) for value in values})
+            == len(values)
+            and all(value == value for value in values)):  # NaN: v != v
+        object.__setattr__(term, "_abstract", (skeleton, tuple(values)))
+    return term
 
 
 def abstract_with(term: Term, values: tuple,

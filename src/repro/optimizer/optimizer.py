@@ -435,15 +435,22 @@ class Optimizer:
         """Serve a skeleton entry to one concrete query: substitute its
         binding values into every stored form, replay the derivation,
         and re-run (deterministic, value-independent) plan choice on
-        the instantiated best form."""
-        simplified = instantiate_constants(entry.simplified, values)
-        untangled = instantiate_constants(entry.untangled, values)
+        the instantiated best form.  One memo serves every form, as in
+        :meth:`_make_param_entry`: the forms share most of their
+        nodes."""
+        memo: dict[Term, Term] = {}
+
+        def instantiate(term: Term) -> Term:
+            return instantiate_constants(term, values, memo)
+
+        simplified = instantiate(entry.simplified)
+        untangled = instantiate(entry.untangled)
         chosen = (None if entry.chosen is None
-                  else instantiate_constants(entry.chosen, values))
+                  else instantiate(entry.chosen))
         derivation = Derivation(entry.title)
         for rule, before, after, path in entry.steps:
-            derivation.record(rule, instantiate_constants(before, values),
-                              instantiate_constants(after, values), path)
+            derivation.record(rule, instantiate(before), instantiate(after),
+                              path)
         best = chosen if chosen is not None else untangled
         plan, estimated = self._choose_plan(best, db)
         result = OptimizedQuery(source=query, aqua=aqua, initial=initial,

@@ -7,9 +7,10 @@ each holding one persistent
 for the whole batch (and across batches when a :class:`BatchOptimizer`
 is reused).  The pool is the only worker driver: it spawns the workers,
 routes each query by its constant-abstracted skeleton
-(:meth:`~repro.serve.pool.ServingPool.slot_for`), coalesces dispatch,
-respawns dead workers and resubmits their requests, and drains on
-close.  This module adds what is particular to a batch:
+(:meth:`~repro.serve.pool.ServingPool.slot_for`) and ships it split
+into skeleton and constants, respawns dead workers and resubmits their
+requests, and drains on close.  This module adds what is particular to
+a batch:
 
 * **Largest-first submission.**  Queries are submitted in decreasing
   term size, so each worker starts its heaviest rewrites first
@@ -277,8 +278,7 @@ class BatchOptimizer:
         for index in sorted(range(len(terms)),
                             key=lambda i: terms[i].size(), reverse=True):
             try:
-                self._pool.submit(base + index, terms[index].to_portable(),
-                                  term=terms[index])
+                self._pool.submit(base + index, terms[index])
             except PoolClosedError as error:
                 # The pool has abandoned the routed slot.
                 errors.append((index, str(error)))

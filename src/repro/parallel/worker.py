@@ -11,22 +11,29 @@ every member of a query family meets the one per-worker plan cache
 that holds its skeleton, and the pool's aggregate plan-cache capacity
 grows with its worker count.
 
-Protocol (all queue traffic is picklable):
+Protocol (every message is picklable):
 
-* task queue (per worker): ``("chunk", [(serial, payload), ...])``
-  messages, ``("stats", None)`` markers, then ``None`` to shut down.
-* result queue (shared): one ``("results", worker, items)`` message
-  per chunk, where each item is ``(serial, ("ok", encoded))`` or
-  ``(serial, ("err", message, traceback))`` — one reply message per
-  chunk amortizes queue IPC the same way the pool's coalesced chunks
-  do for tasks — and a ``("stats", worker, info)`` message answering
-  each stats marker (queue order guarantees it arrives after the
-  results of every chunk queued before the marker).
+* task queue (per worker; ``put`` never blocks):
+  ``("optimize", serial, skeleton, values)`` requests — the query split
+  by :func:`~repro.core.terms.abstract_constants` into its skeleton's
+  portable payload and its constant values — ``("stats",)`` markers,
+  then ``None`` to shut down.
+* reply pipe (per worker, one-way, written only by its worker):
+  ``("result", serial, outcome)`` per request, where ``outcome`` is
+  ``("ok", encoded)`` or ``("err", message, traceback)``, and
+  ``("stats", info)`` answering each stats marker.  Both channels are
+  FIFO, so a stats answer arrives after the results of every request
+  queued before its marker.  The worker closes its pipe when it exits;
+  end-of-file tells the pool the worker is gone.
 
-A worker's plan cache returns the *same* :class:`OptimizedQuery`
-object for a repeated query, so results are encoded once per distinct
-object through a bounded memo; repeated queries ship the already-built
-payload.
+The worker rebuilds each query with
+:func:`~repro.core.terms.instantiate_abstraction`: the skeleton's
+payload is a decode-memo hit for a repeated family, and the split is
+recorded on the rebuilt term, so its optimizer does not split it
+again.  A worker's plan cache returns the *same*
+:class:`OptimizedQuery` object for a repeated query, so results are
+encoded once per distinct object through a bounded memo; repeated
+queries ship the already-built payload.
 
 The module is import-light at the top level so ``spawn`` can load it
 quickly; the optimizer stack is imported inside :func:`worker_main`
@@ -43,48 +50,48 @@ import traceback
 ENCODE_MEMO_MAX = 2048
 
 
-def worker_main(worker_id: int, task_queue, result_queue,
+def worker_main(worker_id: int, task_queue, reply_pipe,
                 db, search: str, budget,
                 abstract_cache: bool = True) -> None:
-    """Run one worker: build the persistent optimizer, drain the task
-    queue, report stats, exit."""
-    from repro.core.terms import from_portable
+    """Run one worker: build the persistent optimizer, answer the task
+    queue on ``reply_pipe`` until the shutdown sentinel, then close the
+    pipe."""
+    from repro.core.terms import from_portable, instantiate_abstraction
     from repro.optimizer.optimizer import Optimizer
 
     from repro.parallel.cache import LRUCache
     from repro.parallel.portable import encode_result
 
-    optimizer = Optimizer(search=search, saturation_budget=budget,
-                          abstract_cache=abstract_cache)
-    encode_memo = LRUCache(ENCODE_MEMO_MAX)
-    processed = 0
-    while True:
-        message = task_queue.get()
-        if message is None:
-            break
-        kind, body = message
-        if kind == "stats":
-            result_queue.put(("stats", worker_id,
-                              worker_stats(optimizer, processed)))
-            continue
-        if kind != "chunk":  # pragma: no cover - protocol guard
-            continue
-        items = []
-        for serial, payload in body:
+    try:
+        optimizer = Optimizer(search=search, saturation_budget=budget,
+                              abstract_cache=abstract_cache)
+        encode_memo = LRUCache(ENCODE_MEMO_MAX)
+        processed = 0
+        while True:
+            message = task_queue.get()
+            if message is None:
+                break
+            if message[0] == "stats":
+                reply_pipe.send(("stats",
+                                 worker_stats(optimizer, processed)))
+                continue
+            _, serial, skeleton, values = message
             try:
-                term = from_portable(payload)
+                term = instantiate_abstraction(from_portable(skeleton),
+                                               values)
                 result = optimizer.optimize(term, db, search=search)
                 memoed = encode_memo.get(id(result))
                 if memoed is None:
                     memoed = (result, encode_result(result))
                     encode_memo.put(id(result), memoed)
-                items.append((serial, ("ok", memoed[1])))
+                outcome = ("ok", memoed[1])
             except Exception as exc:  # ship the failure, keep serving
-                items.append((serial, ("err",
-                                       f"{type(exc).__name__}: {exc}",
-                                       traceback.format_exc())))
+                outcome = ("err", f"{type(exc).__name__}: {exc}",
+                           traceback.format_exc())
             processed += 1
-        result_queue.put(("results", worker_id, items))
+            reply_pipe.send(("result", serial, outcome))
+    finally:
+        reply_pipe.close()
 
 
 def worker_stats(optimizer, processed: int) -> dict:

@@ -222,27 +222,45 @@ class AsyncServeClient:
                 future.set_exception(error)
 
     async def _read_loop(self) -> None:
+        import asyncio
+
         from repro.serve.protocol import FrameError, read_frame
 
+        # Whatever stops the loop fails every pending request: an
+        # exception no handler names propagates with this message.
+        error = ServeError("client read loop failed")
         try:
             while True:
                 response = await read_frame(self._reader)
                 if response is None:
-                    break
+                    error = ServeError("daemon closed the connection")
+                    return
+                if not isinstance(response, dict):
+                    error = ServeError(
+                        f"protocol error: response frame must be a JSON "
+                        f"object, got {type(response).__name__}")
+                    return
                 future = self._pending.pop(response.get("id"), None)
                 if future is not None and not future.done():
                     future.set_result(response)
-        except FrameError as error:
-            self._fail_pending(ServeError(f"protocol error: {error}"))
-            return
-        except Exception:
-            pass
-        self._fail_pending(ServeError("daemon closed the connection"))
+        except FrameError as frame_error:
+            error = ServeError(f"protocol error: {frame_error}")
+        except (ConnectionError, OSError):
+            error = ServeError("daemon closed the connection")
+        except asyncio.CancelledError:
+            error = ServeError("client closed")
+            raise
+        finally:
+            self._fail_pending(error)
 
     async def request(self, message: dict) -> dict:
         import asyncio
 
         await self.connect()
+        if self._reader_task.done():
+            # Nothing would ever resolve this request's future.
+            raise ServeError("connection is unusable: its read loop "
+                             "has stopped")
         message = dict(message)
         request_id = message.setdefault("id", next(self._ids))
         future = asyncio.get_running_loop().create_future()

@@ -333,7 +333,7 @@ class PlanServer:
         self._futures[serial] = future
         started = time.perf_counter()
         try:
-            self.pool.submit(serial, term.to_portable(), term=term)
+            self.pool.submit(serial, term)
         except WorkerSaturatedError as error:
             self._futures.pop(serial, None)
             return self._shed(request_id, str(error))

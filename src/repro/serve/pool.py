@@ -1,4 +1,4 @@
-"""The worker pool: pipelined per-request dispatch into optimizer workers.
+"""The worker pool: per-request dispatch into optimizer workers.
 
 :class:`ServingPool` is the one driver of the worker loop
 (:func:`repro.parallel.worker.worker_main`): the only code that spawns,
@@ -7,22 +7,33 @@ clients — the serving daemon (:class:`repro.serve.daemon.PlanServer`,
 bounded per-worker queues) and the batch layer
 (:class:`repro.parallel.batch.BatchOptimizer`, unbounded queues,
 largest query first).  Each worker holds one persistent
-:class:`~repro.optimizer.optimizer.Optimizer`, and requests ship in the
-portable wire form (:mod:`repro.parallel.portable`):
+:class:`~repro.optimizer.optimizer.Optimizer`:
 
-* **Shard-affinity routing** (:func:`route_of` over the
-  constant-abstracted skeleton) pins every member of a query family to
-  one worker, so its traffic lands on the worker whose parameterized
-  plan cache, warm e-graph and codegen kernels already hold the family,
-  and the per-worker plan caches act as the shards of one pool-wide
-  cache.
+* **Split once, ship the split.**  :meth:`ServingPool.submit` splits a
+  query once into its constant-abstracted skeleton and constant values
+  (:func:`~repro.core.terms.abstract_constants`; the exact term and no
+  values when ``abstract_cache`` is off) and ships the skeleton's
+  portable payload with the values.  The worker rebuilds the query
+  from them and records the split on it, so nobody splits or
+  re-encodes the whole term again.  A bounded map remembers each
+  skeleton's payload and slot, so a repeated family skips the
+  skeleton's encoding and routing hash.
 
-* **Coalesced dispatch.**  Submissions append to a per-worker buffer;
-  a flusher thread ships whatever accumulated since its last pass as
-  *one* task-queue message.  At low load that degenerates to one
-  request per message; under load (a batch submits its whole corpus at
-  once) it amortizes queue IPC over many requests — without holding
-  requests back on a timer or a chunk size.
+* **Shard-affinity routing** (:func:`route_of` over the skeleton's
+  payload) pins every member of a query family to one worker, so its
+  traffic lands on the worker whose parameterized plan cache, warm
+  e-graph and codegen kernels already hold the family, and the
+  per-worker plan caches act as the shards of one pool-wide cache.
+
+* **Direct dispatch, one reply pipe per worker.**  A submission goes
+  straight onto its worker's task queue, whose ``put`` never blocks.
+  Each worker answers on its own one-way pipe, and one pump thread
+  waits on every reply pipe plus a wake-up fd
+  (``multiprocessing.connection.wait``) and delivers replies through
+  ``on_reply``.  Neither the submitter nor the pump ever writes to a
+  pipe that can fill; only a worker blocks, on its own pipe.  End of
+  file on a process worker's pipe means the worker is gone, and the
+  pump reaps it at once.
 
 * **Bounded per-worker queues.**  A submit that would push a worker's
   in-flight count past ``queue_depth`` raises
@@ -32,7 +43,7 @@ portable wire form (:mod:`repro.parallel.portable`):
   correct backpressure is *shed*, not *spill*.
 
 * **Zero-drop lifecycle.**  Every in-flight request is tracked by
-  serial with its payload.  A worker that dies is replaced in its slot
+  serial with its message.  A worker that dies is replaced in its slot
   and its pending requests are resubmitted; a slot whose worker
   crash-loops (or cannot be respawned) is abandoned and its requests
   answered with an error.  :meth:`recycle` spawns and *warms* a
@@ -43,13 +54,15 @@ portable wire form (:mod:`repro.parallel.portable`):
 
 The pool is backend-agnostic: ``backend="process"`` spawns real worker
 processes (the serving default — real parallelism and isolation);
-``backend="thread"`` runs the identical worker loop in daemon threads
-(no spawn cost; used by tests and single-core deployments where the
-pool exists for cache sharding, not CPU parallelism).
+``backend="thread"`` runs the identical worker loop, task queues and
+reply pipes in daemon threads (no spawn cost; used by tests and
+single-core deployments where the pool exists for cache sharding, not
+CPU parallelism).
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import queue as queue_module
 import threading
@@ -58,6 +71,8 @@ import zlib
 
 from repro.core.errors import KolaError
 from repro.core.terms import Term, abstract_constants
+from repro.optimizer.optimizer import Optimizer
+from repro.parallel.cache import LRUCache
 from repro.parallel.worker import worker_main
 from repro.serve.protocol import ServeError
 
@@ -68,7 +83,8 @@ DEFAULT_WORKERS = 4
 #: Default bound on one worker's in-flight requests.
 DEFAULT_QUEUE_DEPTH = 64
 
-#: Result-queue poll interval (also the dead-worker detection cadence).
+#: Longest the pump waits for a reply (also the cadence at which it
+#: polls for dead workers whose pipe gave no end-of-file).
 POLL_INTERVAL = 0.2
 
 #: How long :meth:`ServingPool.close`/:meth:`recycle` wait for
@@ -106,7 +122,8 @@ class WorkerSaturatedError(KolaError):
 
 
 class _Worker:
-    """One live worker: its queue, runner, and in-flight bookkeeping."""
+    """One live worker: its queue, runner, and in-flight bookkeeping
+    (its reply pipe is the pump's, in ``ServingPool._readers``)."""
 
     __slots__ = ("id", "slot", "queue", "runner", "pending", "draining",
                  "retired", "processed")
@@ -117,7 +134,7 @@ class _Worker:
         self.slot = slot
         self.queue = task_queue
         self.runner = runner            # Process or Thread
-        self.pending: dict[int, object] = {}   # serial -> payload
+        self.pending: dict[int, tuple] = {}    # serial -> task message
         self.draining = False
         self.retired = False            # deliberate shutdown in progress
         self.processed = 0
@@ -170,12 +187,14 @@ class ServingPool:
         self._by_id: dict[int, _Worker] = {}
         self._next_id = 0
         self._pending: dict[int, _Worker] = {}     # serial -> worker
-        self._reply_queue = None
+        # skeleton -> (payload, slot): one entry per family a worker's
+        # parameterized cache can hold.
+        self._routes = LRUCache(Optimizer.PARAM_CACHE_MAX * workers)
+        self._readers: dict = {}        # reply pipe -> worker, pump-owned
+        self._wake_fds: tuple[int, int] | None = None
         self._mp_context = None
         self._pump: threading.Thread | None = None
-        self._flusher: threading.Thread | None = None
-        self._flush_cond = threading.Condition()
-        self._buffers: dict[int, list] = {}        # worker id -> items
+        self._pump_stop = False
         self._stats_waiters: dict[int, list] = {}  # worker id -> waiters
         self._closing = False
         self._started = False
@@ -190,16 +209,17 @@ class ServingPool:
         self.close()
 
     def start(self) -> None:
-        """Spawn one worker per slot and start the pump/flusher."""
+        """Spawn one worker per slot and start the pump."""
         with self._lock:
             if self._started:
                 return
             if self.backend == "process":
                 import multiprocessing
                 self._mp_context = multiprocessing.get_context("spawn")
-                self._reply_queue = self._mp_context.Queue()
-            else:
-                self._reply_queue = queue_module.Queue()
+            wake_read, wake_write = os.pipe()
+            os.set_blocking(wake_write, False)
+            self._wake_fds = (wake_read, wake_write)
+            self._pump_stop = False
             self._started = True
         for slot in range(self.workers):
             worker = self._spawn(slot)
@@ -208,10 +228,6 @@ class ServingPool:
         self._pump = threading.Thread(target=self._pump_loop,
                                       name="serve-pool-pump", daemon=True)
         self._pump.start()
-        self._flusher = threading.Thread(target=self._flush_loop,
-                                         name="serve-pool-flush",
-                                         daemon=True)
-        self._flusher.start()
 
     def _spawn(self, slot: int) -> _Worker:
         """Start a new worker for ``slot`` (registered, not routed).
@@ -220,21 +236,25 @@ class ServingPool:
             ServeError: the worker could not be started; nothing is
                 registered, so :meth:`close` never waits on it.
         """
+        from multiprocessing.connection import Pipe
+
         with self._lock:
             worker_id = self._next_id
             self._next_id += 1
-        args = (worker_id, None, self._reply_queue, self.db,
-                self.search, self.budget, self.abstract_cache)
+        replies, reply_end = Pipe(duplex=False)
         if self.backend == "process":
             task_queue = self._mp_context.Queue()
             runner = self._mp_context.Process(
                 target=worker_main,
-                args=(worker_id, task_queue) + args[2:], daemon=True)
+                args=(worker_id, task_queue, reply_end, self.db,
+                      self.search, self.budget, self.abstract_cache),
+                daemon=True)
         else:
             task_queue = queue_module.Queue()
             runner = threading.Thread(
                 target=worker_main,
-                args=(worker_id, task_queue) + args[2:],
+                args=(worker_id, task_queue, reply_end, self.db,
+                      self.search, self.budget, self.abstract_cache),
                 name=f"serve-worker-{worker_id}", daemon=True)
         # Process/thread limits raise OSError or RuntimeError; a db that
         # spawn cannot pickle raises TypeError (a lock, say),
@@ -247,15 +267,30 @@ class ServingPool:
         try:
             runner.start()
         except failures as error:
+            replies.close()
+            reply_end.close()
             raise ServeError(f"could not start worker {worker_id} for "
                              f"slot {slot}: {type(error).__name__}: "
                              f"{error}") from error
+        if self.backend == "process":
+            # The child holds its own copy; with ours closed, end of
+            # file on ``replies`` means the worker is gone.
+            reply_end.close()
         worker = _Worker(worker_id, slot, task_queue, runner)
         with self._lock:
             self._by_id[worker_id] = worker
-        with self._flush_cond:
-            self._buffers[worker_id] = []
+            self._readers[replies] = worker
+        self._wake()
         return worker
+
+    def _wake(self) -> None:
+        """Make the pump re-read its pipe set (never blocks)."""
+        with self._lock:  # close() closes the fds under the lock
+            if self._wake_fds is not None:
+                try:
+                    os.write(self._wake_fds[1], b"\0")
+                except BlockingIOError:  # full: the pump wakes anyway
+                    pass
 
     def warmup(self, timeout: float = 60.0) -> bool:
         """Block until every slot's worker answers a stats round-trip
@@ -265,23 +300,34 @@ class ServingPool:
 
     # -- routing and dispatch -----------------------------------------------
 
-    def route_key(self, term: Term) -> tuple:
-        """The payload this pool routes ``term`` by: its
-        constant-abstracted skeleton when the parameterized cache level
-        is on (family affinity), else the exact term."""
+    def _split(self, term: Term) -> tuple[tuple, tuple, int]:
+        """``term`` as shipped: its skeleton's portable payload, its
+        constant values, and the slot the skeleton routes to."""
         if self.abstract_cache:
-            return abstract_constants(term)[0].to_portable()
-        return term.to_portable()
+            skeleton, values = abstract_constants(term)
+        else:
+            skeleton, values = term, ()
+        with self._lock:
+            route = self._routes.get(skeleton)
+        if route is None:
+            payload = skeleton.to_portable()
+            route = (payload, route_of(payload, self.workers))
+            with self._lock:
+                self._routes.put(skeleton, route)
+        return route[0], values, route[1]
 
     def slot_for(self, term: Term) -> int:
-        return route_of(self.route_key(term), self.workers)
+        """The slot ``term`` routes to: its constant-abstracted
+        skeleton's (family affinity) when the parameterized cache level
+        is on, else the exact term's."""
+        return self._split(term)[2]
 
-    def submit(self, serial: int, payload, *, slot: int | None = None,
-               term: Term | None = None) -> int:
+    def submit(self, serial: int, term: Term, *,
+               slot: int | None = None) -> int:
         """Queue one request; returns the worker id it was routed to.
 
-        ``payload`` is the portable term payload shipped to the worker;
-        routing uses ``slot`` when given, else ``term``'s skeleton.
+        ``term`` ships split (see the module docstring); it routes to
+        ``slot`` when given, else to :meth:`slot_for`'s slot.
 
         Raises:
             PoolClosedError: the pool is shutting down, or the routed
@@ -289,10 +335,10 @@ class ServingPool:
             WorkerSaturatedError: the routed worker is at
                 ``queue_depth`` in-flight requests.
         """
+        payload, values, routed = self._split(term)
         if slot is None:
-            if term is None:
-                raise ValueError("submit needs a slot or a term to route")
-            slot = self.slot_for(term)
+            slot = routed
+        message = ("optimize", serial, payload, values)
         with self._lock:
             if self._closing or not self._started:
                 raise PoolClosedError("serving pool is not accepting work")
@@ -307,11 +353,11 @@ class ServingPool:
                     f"worker {worker.id} has {len(worker.pending)} "
                     f"requests in flight (bound {self.queue_depth})",
                     worker.id, len(worker.pending))
-            worker.pending[serial] = payload
+            worker.pending[serial] = message
             self._pending[serial] = worker
-        with self._flush_cond:
-            self._buffers[worker.id].append((serial, payload))
-            self._flush_cond.notify()
+        # Should the worker die first, the reaper resubmits ``message``
+        # from ``pending``; a put to the dead worker's queue is inert.
+        worker.queue.put(message)
         return worker.id
 
     def inflight(self) -> int:
@@ -334,125 +380,104 @@ class ServingPool:
             return [worker.id for worker in self._slots
                     if worker is not None]
 
-    # -- the flusher --------------------------------------------------------
-
-    def _flush_loop(self) -> None:
-        while True:
-            with self._flush_cond:
-                while (not self._closing
-                       and not any(self._buffers.values())):
-                    self._flush_cond.wait(timeout=POLL_INTERVAL)
-                if self._closing and not any(self._buffers.values()):
-                    return
-                grabbed = [(worker_id, items) for worker_id, items
-                           in self._buffers.items() if items]
-                for worker_id, _ in grabbed:
-                    self._buffers[worker_id] = []
-            for worker_id, items in grabbed:
-                with self._lock:
-                    worker = self._by_id.get(worker_id)
-                if worker is not None:
-                    worker.queue.put(("chunk", items))
-
-    def _flush_worker(self, worker: _Worker) -> None:
-        """Synchronously flush ``worker``'s buffer (ordering barrier:
-        anything queued before this call reaches the worker before
-        anything put directly on its queue after it)."""
-        with self._flush_cond:
-            items = self._buffers.get(worker.id) or []
-            if items:
-                self._buffers[worker.id] = []
-        if items:
-            worker.queue.put(("chunk", items))
-
-    # -- the result pump ----------------------------------------------------
+    # -- the reply pump -----------------------------------------------------
 
     def _pump_loop(self) -> None:
-        last_reap = time.monotonic()
-        while True:
-            try:
-                message = self._reply_queue.get(timeout=POLL_INTERVAL)
-            except queue_module.Empty:
-                if self._closing and not self._pending:
-                    return
-                self._reap_dead_workers()
-                last_reap = time.monotonic()
-                continue
-            if time.monotonic() - last_reap > POLL_INTERVAL:
-                # A busy queue must not starve dead-worker detection.
-                self._reap_dead_workers()
-                last_reap = time.monotonic()
-            kind = message[0]
-            if kind == "results":
-                _, worker_id, items = message
-                deliveries = []
-                with self._lock:
-                    worker = self._by_id.get(worker_id)
-                    if (worker is not None
-                            and self._slots[worker.slot] is worker):
-                        # A reply proves the slot's worker is healthy.
-                        self._slot_failures[worker.slot] = 0
-                    for serial, outcome in items:
-                        # The serial may by now be pending on a
-                        # *replacement* worker (resubmitted after its
-                        # original was presumed dead): clear the books
-                        # on whichever worker owns it, and drop the
-                        # duplicate reply if one already landed.
-                        owner = self._pending.pop(serial, None)
-                        if owner is None:
-                            continue
-                        owner.pending.pop(serial, None)
-                        (worker or owner).processed += 1
-                        deliveries.append((serial, outcome))
-                if self.on_reply is not None:
-                    for serial, outcome in deliveries:
-                        self.on_reply(serial, worker_id, outcome)
-            elif kind == "stats":
-                _, worker_id, info = message
-                with self._lock:
-                    worker = self._by_id.get(worker_id)
-                    if (worker is not None
-                            and self._slots[worker.slot] is worker):
-                        self._slot_failures[worker.slot] = 0
-                    waiters = self._stats_waiters.pop(worker_id, [])
-                for event, holder in waiters:
-                    holder[worker_id] = info
-                    event.set()
+        from multiprocessing.connection import wait
 
-    def _reap_dead_workers(self) -> None:
-        """Replace dead workers and resubmit their in-flight requests
-        (nothing is dropped; plan choice is deterministic, so a
-        resubmitted request returns the same result).  A slot whose
-        worker crash-loops past :data:`MAX_RESPAWNS`, or cannot be
-        respawned, is abandoned and its orphans get an ``("err", ...)``
-        reply."""
+        wake = self._wake_fds[0]
+        last_reap = time.monotonic()
+        try:
+            while not self._pump_stop:
+                with self._lock:
+                    readers = list(self._readers)
+                ready = wait(readers + [wake], timeout=POLL_INTERVAL)
+                gone = []
+                for source in ready:
+                    if source == wake:
+                        os.read(wake, 4096)
+                        continue
+                    worker = self._readers[source]
+                    try:
+                        message = source.recv()
+                    except (EOFError, OSError):
+                        gone.append(worker)
+                        with self._lock:
+                            del self._readers[source]
+                        source.close()
+                        continue
+                    self._dispatch(worker, message)
+                # A busy pipe set must not starve dead-worker detection.
+                if (gone or not ready
+                        or time.monotonic() - last_reap > POLL_INTERVAL):
+                    self._reap_dead_workers(gone)
+                    last_reap = time.monotonic()
+        finally:
+            with self._lock:
+                readers, self._readers = list(self._readers), {}
+            for source in readers:
+                source.close()
+
+    def _dispatch(self, worker: _Worker, message: tuple) -> None:
+        """Deliver one message read from ``worker``'s reply pipe."""
+        with self._lock:
+            if self._slots[worker.slot] is worker:
+                # A reply proves the slot's worker is healthy.
+                self._slot_failures[worker.slot] = 0
+            if message[0] == "stats":
+                waiters = self._stats_waiters.pop(worker.id, [])
+            else:
+                _, serial, outcome = message
+                # The serial may by now be pending on a *replacement*
+                # worker (resubmitted after its original was presumed
+                # dead): clear the books on whichever worker owns it,
+                # and drop the duplicate reply if one already landed.
+                owner = self._pending.pop(serial, None)
+                if owner is None:
+                    return
+                owner.pending.pop(serial, None)
+                worker.processed += 1
+        if message[0] == "stats":
+            for event, holder in waiters:
+                holder[worker.id] = message[1]
+                event.set()
+        elif self.on_reply is not None:
+            self.on_reply(serial, worker.id, outcome)
+
+    def _reap_dead_workers(self, gone=()) -> None:
+        """Replace dead workers — those whose reply pipe reached end of
+        file (``gone``) or whose runner stopped — and resubmit their
+        in-flight requests (nothing is dropped; plan choice is
+        deterministic, so a resubmitted request returns the same
+        result).  A slot whose worker crash-loops past
+        :data:`MAX_RESPAWNS`, or cannot be respawned, is abandoned and
+        its orphans get an ``("err", ...)`` reply."""
         with self._lock:
             dead = [worker for worker in self._by_id.values()
-                    if not worker.retired and not worker.is_alive()
+                    if not worker.retired
+                    and (worker in gone or not worker.is_alive())
                     and (worker.pending
                          or self._slots[worker.slot] is worker)]
         for worker in dead:
             with self._lock:
-                if worker.retired or worker.is_alive():
+                if worker.retired:
                     continue
                 worker.retired = True
-                orphans = list(worker.pending.items())
-                worker.pending.clear()
                 owns_slot = self._slots[worker.slot] is worker
                 self._by_id.pop(worker.id, None)
                 waiters = self._stats_waiters.pop(worker.id, [])
-            with self._flush_cond:
-                # Anything still buffered for the dead worker was
-                # never shipped; it is in ``orphans`` via pending.
-                self._buffers.pop(worker.id, None)
+            if self.backend == "process" and worker.is_alive():
+                # Its pipe is closed, so it can never answer again.
+                worker.runner.kill()
+                worker.runner.join(timeout=1)
             for event, _holder in waiters:
                 event.set()  # waiter sees no entry for this worker
             reason = f"worker slot {worker.slot} is unavailable"
+            replacement = None
             if owns_slot:
                 with self._lock:
                     self._slot_failures[worker.slot] += 1
                     failures = self._slot_failures[worker.slot]
-                replacement = None
                 if failures > MAX_RESPAWNS:
                     # Crash loop: stop replacing this slot rather than
                     # bouncing its orphans forever.
@@ -464,28 +489,33 @@ class ServingPool:
                         replacement = self._spawn(worker.slot)
                     except ServeError as error:
                         reason = str(error)
-                with self._lock:
+            with self._lock:
+                if owns_slot:
                     # ``None`` abandons the slot: new submits to it
                     # raise PoolClosedError.
                     self._slots[worker.slot] = replacement
-            with self._lock:
                 target = self._slots[worker.slot]
+                # Taken only now, so a submit that reached the dead
+                # worker before the slot changed hands is not lost.
+                orphans = list(worker.pending.items())
+                worker.pending.clear()
                 if target is None:
                     # An abandoned slot: fail the orphans rather than
                     # drop them.
-                    for serial, _payload in orphans:
+                    for serial, _message in orphans:
                         self._pending.pop(serial, None)
-                    failed = list(orphans)
                 else:
-                    failed = []
-                    for serial, payload in orphans:
-                        target.pending[serial] = payload
+                    for serial, message in orphans:
+                        target.pending[serial] = message
                         self._pending[serial] = target
-            if failed and self.on_reply is not None:
-                for serial, _payload in failed:
-                    self.on_reply(serial, worker.id, ("err", reason, ""))
-            if orphans and target is not None:
-                target.queue.put(("chunk", orphans))
+            if target is None:
+                if self.on_reply is not None:
+                    for serial, _message in orphans:
+                        self.on_reply(serial, worker.id,
+                                      ("err", reason, ""))
+            else:
+                for _serial, message in orphans:
+                    target.queue.put(message)
 
     # -- stats --------------------------------------------------------------
 
@@ -494,10 +524,10 @@ class ServingPool:
 
         Returns ``{worker_id: info}`` for every worker that answered
         within ``timeout`` (a worker that died mid-request is simply
-        absent).  The stats marker queues *behind* any buffered work,
-        so an answer also proves the worker drained everything
-        submitted before the call — the drain barrier recycling and
-        shutdown are built on.
+        absent).  The stats marker queues *behind* every request
+        submitted before the call, so an answer also proves the worker
+        drained them — the drain barrier recycling and shutdown are
+        built on.
         """
         with self._lock:
             targets = [worker for worker in self._slots
@@ -510,8 +540,7 @@ class ServingPool:
                 self._stats_waiters.setdefault(worker.id, []).append(
                     (event, holder))
             expected.add(worker.id)
-            self._flush_worker(worker)
-            worker.queue.put(("stats", None))
+            worker.queue.put(("stats",))
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             if all(worker_id in holder or worker_id not in self._by_id
@@ -556,7 +585,7 @@ class ServingPool:
         with self._lock:
             self._stats_waiters.setdefault(worker.id, []).append(
                 (event, holder))
-        worker.queue.put(("stats", None))
+        worker.queue.put(("stats",))
         deadline = time.monotonic() + timeout
         while worker.id not in holder and time.monotonic() < deadline:
             if not worker.is_alive():
@@ -566,7 +595,6 @@ class ServingPool:
 
     def _retire(self, worker: _Worker, timeout: float) -> None:
         """Drain ``worker``'s in-flight work, then shut it down."""
-        self._flush_worker(worker)
         deadline = time.monotonic() + timeout
         while worker.pending and time.monotonic() < deadline:
             if not worker.is_alive():
@@ -576,8 +604,6 @@ class ServingPool:
         with self._lock:
             worker.retired = True
             self._by_id.pop(worker.id, None)
-        with self._flush_cond:
-            self._buffers.pop(worker.id, None)
         worker.queue.put(None)
         worker.runner.join(timeout=5)
         if self.backend == "process" and worker.is_alive():
@@ -602,17 +628,22 @@ class ServingPool:
         for worker in workers:
             self._retire(worker, timeout=max(
                 0.0, deadline - time.monotonic()))
-        with self._flush_cond:
-            self._flush_cond.notify_all()
-        if self._flusher is not None:
-            self._flusher.join(timeout=5)
-        if self._pump is not None:
-            self._pump.join(timeout=5)
+        pump = self._pump
+        self._pump_stop = True
+        self._wake()
+        if pump is not None:
+            pump.join(timeout=5)
         with self._lock:
+            if pump is None or not pump.is_alive():
+                # The pump closed the pipes it read; close the rest.
+                for source in self._readers:
+                    source.close()
+                self._readers = {}
+                for fd in self._wake_fds:
+                    os.close(fd)
+            self._wake_fds = None
             self._slots = [None] * self.workers
             self._by_id.clear()
             self._pending.clear()
             self._started = False
             self._pump = None
-            self._flusher = None
-            self._reply_queue = None

@@ -37,7 +37,12 @@ Responses::
 ``result`` is the batch layer's result encoding
 (:func:`repro.parallel.portable.encode_result`), so a client decodes
 with the same :func:`~repro.parallel.portable.decode_result` the batch
-parent uses.  A ``shed`` response is the admission-control path: the
+parent uses.  It carries one node table, ``table``, with every
+distinct node of the result's terms once; ``initial``,
+``simplified``, the plan's terms and each step's before and after are
+indices into it, while ``untangled`` and ``chosen`` are standalone
+portable payloads and each step is ``[rule name, before, after,
+path]`` — the best form and the rule sequence read without decoding.  A ``shed`` response is the admission-control path: the
 request was *not* queued, and the client should retry after
 ``retry_after`` seconds.
 """

@@ -8,12 +8,15 @@ incremental e-matching parity, warm e-graph reuse, and the batch
 layer's skeleton-affinity routing.
 """
 
+import pickle
+
 import pytest
 
 from repro.core.errors import TermError
 from repro.core.parser import parse_fun, parse_obj
 from repro.core.terms import (PARAM_TAG, Sort, Term, abstract_constants,
                               abstract_with, from_portable,
+                              instantiate_abstraction,
                               instantiate_constants, is_param_slot)
 from repro.fuzz.generator import generate_queries
 from repro.optimizer.optimizer import Optimizer
@@ -26,7 +29,7 @@ from repro.rules.registry import standard_rulebase
 from repro.saturate.driver import SaturationBudget, Saturator
 from repro.schema.generator import (GeneratorConfig, generate_database,
                                     tiny_database)
-from repro.serve.pool import route_of
+from repro.serve.pool import ServingPool, route_of
 from repro.workloads.corpus import _TEMPLATES
 
 
@@ -37,6 +40,19 @@ def _q(text):
 def _family(template="iterate(gt @ <age, Kf({c})>, id) ! P", n=3,
             start=5):
     return [_q(template.format(c=start + i)) for i in range(n)]
+
+
+def _forget_split(term):
+    object.__setattr__(term, "_abstract", None)
+
+
+def _fresh_split(term):
+    """``abstract_constants(term)`` computed anew, memo restored."""
+    memo = term._abstract
+    _forget_split(term)
+    fresh = abstract_constants(term)
+    object.__setattr__(term, "_abstract", memo)
+    return fresh
 
 
 # -- abstraction primitives ---------------------------------------------------
@@ -119,6 +135,56 @@ class TestAbstractConstants:
             instantiate_constants(skeleton, (5,))     # index out of range
         with pytest.raises(TermError):
             instantiate_constants(skeleton, ("x", "y"))  # type mismatch
+
+    def test_split_helper_records_exactly_abstract_constants(self):
+        """Over fuzz queries: the term ``instantiate_abstraction``
+        rebuilds from a shipped split, and the split it records, equal
+        a fresh ``abstract_constants``."""
+        recorded = 0
+        for query in generate_queries(80, seed=2302):
+            term = canon(query)
+            skeleton, values = abstract_constants(term)
+            payload = pickle.loads(pickle.dumps(skeleton.to_portable()))
+            _forget_split(term)
+            rebuilt = instantiate_abstraction(from_portable(payload),
+                                              values)
+            assert rebuilt is term
+            if values:
+                assert term._abstract == (skeleton, values)
+                recorded += 1
+            assert _fresh_split(term) == abstract_constants(term)
+        assert recorded >= 40
+
+    @pytest.mark.parametrize("text, skeleton_values, values", [
+        # two slots bound to equal values: a fresh split shares one
+        ("iterate(gt @ <age, Kf(5)>, Kf(7)) ! P", None, (5, 5)),
+        # NaN is never abstracted
+        ("iterate(gt @ <age, Kf(5.5)>, id) ! P", None, (float("nan"),)),
+        # a value no slot uses
+        ("iterate(gt @ <age, Kf(5)>, id) ! P", None, (5, 9)),
+        # the skeleton keeps a constant the values repeat
+        ("iterate(gt @ <age, Kf(5)>, Kf(7)) ! P", (5,), (7,)),
+        # slots numbered out of first-occurrence order
+        ("iterate(gt @ <age, Kf(5)>, Kf(7)) ! P", "swap", (7, 5)),
+    ], ids=["equal-values", "nan", "unused-value", "kept-constant",
+            "slot-order"])
+    def test_split_helper_refuses_other_splits(self, text, skeleton_values,
+                                               values):
+        """A pair that is not ``abstract_constants``' own split is only
+        instantiated: whatever memo the term ends up with is a fresh
+        split's."""
+        term = _q(text)
+        if skeleton_values is None:
+            skeleton = abstract_constants(term)[0]
+        elif skeleton_values == "swap":
+            skeleton = abstract_with(term, (7, 5))
+        else:
+            skeleton = abstract_with(term, skeleton_values)
+        rebuilt = instantiate_constants(skeleton, values)
+        _forget_split(rebuilt)
+        assert instantiate_abstraction(skeleton, values) is rebuilt
+        assert rebuilt._abstract is None
+        assert abstract_constants(rebuilt) == _fresh_split(rebuilt)
 
     def test_abstract_with_maps_only_listed_values(self):
         term = _q("iterate(gt @ <age, Kf(5)>, Kf(7)) ! P")
@@ -430,6 +496,25 @@ class TestBatchSkeletonRouting:
         routes = {route_of(abstract_constants(term)[0].to_portable(), 4)
                   for term in _family(n=6)}
         assert len(routes) == 1
+
+    @pytest.mark.parametrize("abstract_cache", [True, False])
+    def test_slot_for_is_the_route_of_the_split(self, abstract_cache):
+        """``ServingPool.slot_for`` routes every query of a fixed corpus
+        to ``route_of`` of its skeleton's payload (of the exact term
+        with the parameterized level off), for 1-4 workers, on first
+        sight and from the pool's route map alike."""
+        corpus = [canon(query) for query in generate_queries(60,
+                                                             seed=2303)]
+        corpus += [_q(template.format(c=c)) for _, template in _TEMPLATES
+                   for c in (3, 40)]
+        for workers in range(1, 5):
+            pool = ServingPool(workers=workers,
+                               abstract_cache=abstract_cache)
+            for term in corpus * 2:
+                shipped = (abstract_constants(term)[0] if abstract_cache
+                           else term)
+                assert pool.slot_for(term) == route_of(
+                    shipped.to_portable(), workers)
 
     def test_exact_payload_routing_spreads_family(self):
         routes = {route_of(term.to_portable(), 4)

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.core.parser import parse_query
+from repro.fuzz.generator import generate_queries
 from repro.optimizer.optimizer import Optimizer
 from repro.parallel.batch import optimize_many
 from repro.parallel.cache import LRUCache, merge_cache_info
@@ -135,13 +136,13 @@ def test_killed_worker_requests_go_to_its_respawn():
         assert pool.warmup()
         [victim] = pool.worker_ids()
         pid = pool._slots[0].runner.pid
-        # Stop the worker while it idles (so it holds no lock of the
-        # shared reply queue), hand it the requests, then kill it.
+        # Stop the worker, hand it the requests (so every one is in
+        # flight), then kill it.
         time.sleep(0.2)
         os.kill(pid, signal.SIGSTOP)
         try:
             for serial, term in enumerate(terms):
-                pool.submit(serial, term.to_portable(), term=term)
+                pool.submit(serial, term)
         finally:
             os.kill(pid, signal.SIGKILL)
         assert answered.wait(timeout=120)
@@ -153,6 +154,63 @@ def test_killed_worker_requests_go_to_its_respawn():
     sequential = Optimizer()
     for serial, term in enumerate(terms):
         outcome = replies[serial][1]
+        assert outcome[0] == "ok", outcome
+        got = decode_result(outcome[1], rulebase, source=term)
+        assert _same_result(got, sequential.optimize(term, db), db)
+
+
+@pytest.mark.slow
+def test_pump_drops_a_killed_workers_pipe_and_serves_the_rest():
+    """Two process workers, one SIGKILLed while the other has requests
+    in flight.  The pump closes the dead worker's reply pipe and stops
+    waiting on it (its thread idles afterwards rather than spinning on
+    end of file); the survivor answers its own requests, the victim's
+    respawn answers the victim's, and every answer equals sequential
+    ``optimize``."""
+    db = tiny_database(seed=17)
+    terms = [canon(parse_query(query)) for query in QUERIES]
+    terms += [canon(query) for query in generate_queries(18, seed=2304)]
+    replies = {}
+    answered = threading.Event()
+
+    def on_reply(serial, worker_id, outcome):
+        replies[serial] = (worker_id, outcome)
+        if len(replies) == len(terms):
+            answered.set()
+
+    with ServingPool(db, workers=2, backend="process",
+                     on_reply=on_reply) as pool:
+        assert pool.warmup()
+        victim, survivor = pool._slots
+        [victim_pipe] = [pipe for pipe, worker in pool._readers.items()
+                         if worker is victim]
+        slots = [pool.slot_for(term) for term in terms]
+        assert set(slots) == {victim.slot, survivor.slot}
+        for worker in (victim, survivor):
+            os.kill(worker.runner.pid, signal.SIGSTOP)
+        try:
+            for serial, term in enumerate(terms):
+                pool.submit(serial, term)
+            assert victim.pending and survivor.pending
+        finally:
+            os.kill(victim.runner.pid, signal.SIGKILL)
+            os.kill(survivor.runner.pid, signal.SIGCONT)
+        assert answered.wait(timeout=120)
+        respawn, same = pool.worker_ids()
+        assert same == survivor.id
+        assert respawn not in (victim.id, survivor.id)
+        assert victim_pipe.closed
+        assert victim_pipe not in pool._readers
+        pump_clock = time.pthread_getcpuclockid(pool._pump.ident)
+        idle_from = time.clock_gettime(pump_clock)
+        time.sleep(0.5)
+        assert time.clock_gettime(pump_clock) - idle_from < 0.1
+    sequential = Optimizer()
+    rulebase = standard_rulebase()
+    for serial, term in enumerate(terms):
+        worker_id, outcome = replies[serial]
+        assert worker_id == (survivor.id if slots[serial] == survivor.slot
+                             else respawn)
         assert outcome[0] == "ok", outcome
         got = decode_result(outcome[1], rulebase, source=term)
         assert _same_result(got, sequential.optimize(term, db), db)
@@ -177,13 +235,13 @@ def test_crash_looping_slot_fails_its_requests(monkeypatch):
     pool = ServingPool(workers=1, backend="thread", on_reply=on_reply)
     pool.start()
     try:
-        pool.submit(0, term.to_portable(), slot=0)
+        pool.submit(0, term, slot=0)
         assert failed.wait(timeout=30)
         assert len(starts) == MAX_RESPAWNS + 1
         assert replies[0][0] == "err"
         assert f"crashed {MAX_RESPAWNS + 1} times" in replies[0][1]
         with pytest.raises(PoolClosedError):
-            pool.submit(1, term.to_portable(), slot=0)
+            pool.submit(1, term, slot=0)
         assert pool.worker_ids() == []
     finally:
         pool.close()
@@ -210,12 +268,12 @@ def test_failed_respawn_abandons_the_slot(monkeypatch):
     pool.start()
     pool._spawn = refuse
     try:
-        pool.submit(0, term.to_portable(), slot=0)
+        pool.submit(0, term, slot=0)
         assert failed.wait(timeout=30)
         assert replies[0] == ("err", "could not start worker for slot 0",
                               "")
         with pytest.raises(PoolClosedError):
-            pool.submit(1, term.to_portable(), slot=0)
+            pool.submit(1, term, slot=0)
         assert pool._pump.is_alive()
     finally:
         pool.close()

@@ -165,8 +165,27 @@ def test_optimizer_import_leaves_gate_and_numpy_unloaded():
             "print(sorted(name for name in ('numpy', 'repro.larch', "
             "'repro.rulepacks.gate', 'repro.parallel.batch') "
             "if name in sys.modules))\n")
+    assert _loaded_by(code) == "[]"
+
+
+def test_in_process_path_leaves_the_pool_unloaded():
+    """What an in-process run imports — the optimizer, the database
+    generator and the worker's result encoding and caches — loads
+    neither the serving pool nor ``multiprocessing``."""
+    code = ("import sys\n"
+            "import repro.optimizer.optimizer, repro.rules.registry, "
+            "repro.core.parser, repro.schema.generator, "
+            "repro.parallel.cache, repro.parallel.portable, "
+            "repro.parallel.worker\n"
+            "print(sorted(name for name in ('multiprocessing', "
+            "'repro.serve.pool') if name in sys.modules))\n")
+    assert _loaded_by(code) == "[]"
+
+
+def _loaded_by(code: str) -> str:
+    """What ``code`` prints, run in a fresh interpreter on ``src/``."""
     src = pathlib.Path(repro.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", code], cwd=src,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()

@@ -3,6 +3,7 @@ the backoff scheduler, result codecs, and pool-vs-sequential parity."""
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import sys
@@ -11,6 +12,7 @@ import threading
 import pytest
 
 from repro.core.errors import PortableTermError
+from repro.fuzz.generator import generate_queries
 from repro.optimizer.optimizer import Optimizer
 from repro.parallel.batch import (BatchOptimizer, optimize_many,
                                   _initial_term)
@@ -249,6 +251,66 @@ class TestResultCodec:
         assert decoded.execute(db) == expected
         assert decoded.execute(db, backend="plan") == expected
         assert optimizer.plan_cache_info()["kernel"]["kernel_misses"] == 1
+
+    @pytest.mark.parametrize("mutate, reason", [
+        (lambda enc: enc["table"].insert(0, ("compose", (1, 2), None)),
+         "earlier node"),
+        (lambda enc: enc.__setitem__("initial", len(enc["table"])),
+         "not an entry"),
+        (lambda enc: enc.pop("table"), "lacks 'table'"),
+    ], ids=["forward-child", "root-past-end", "missing-table"])
+    def test_malformed_result_tables_rejected(self, db, rulebase, mutate,
+                                              reason):
+        """A child index pointing forward, a root index past the end of
+        the table and a missing table are PortableTermErrors, never a
+        KeyError or IndexError."""
+        result = Optimizer().optimize(paper_queries().kg1, db)
+        encoded = json.loads(json.dumps(encode_result(result)))
+        mutate(encoded)
+        with pytest.raises(PortableTermError, match=reason):
+            decode_result(encoded, rulebase)
+
+    def test_result_table_holds_each_node_once(self, db):
+        result = Optimizer().optimize(paper_queries().kg1, db)
+        encoded = encode_result(result)
+        assert len(set(encoded["table"])) == len(encoded["table"])
+        steps = encoded["steps"]
+        assert steps and all(isinstance(step[1], int) for step in steps)
+        assert [step[0] for step in steps] \
+            == [step.rule.name for step in result.derivation]
+        assert encoded["untangled"] == result.untangled.to_portable()
+
+    @pytest.mark.parametrize("search", ["greedy", "saturate"])
+    def test_json_round_trip_preserves_everything(self, db, rulebase,
+                                                  search):
+        """Paper queries plus a fixed-seed fuzz stream: encode, JSON
+        round trip, decode — the same interned terms, plan, cost and
+        derivation steps."""
+        queries = paper_queries()
+        stream = [queries.kg1, queries.kg2, queries.t1k_source,
+                  queries.t2k_source, queries.k4,
+                  *generate_queries(24, seed=2301)]
+        optimizer = Optimizer(search=search)
+        plans = set()
+        for query in stream:
+            result = optimizer.optimize(query, db)
+            wire = json.loads(json.dumps(encode_result(result)))
+            decoded = decode_result(wire, rulebase, source=query)
+            assert decoded.initial is result.initial
+            assert decoded.simplified is result.simplified
+            assert decoded.untangled is result.untangled
+            assert decoded.chosen is result.chosen
+            assert type(decoded.plan) is type(result.plan)
+            assert encode_plan(decoded.plan) == encode_plan(result.plan)
+            assert decoded.estimated_cost == result.estimated_cost
+            assert decoded.search == result.search
+            assert decoded.saturation == result.saturation
+            assert ([(step.rule, step.before, step.after, step.path)
+                     for step in decoded.derivation]
+                    == [(step.rule, step.before, step.after, step.path)
+                        for step in result.derivation])
+            plans.add(type(result.plan))
+        assert JoinNestPlan in plans and InterpretPlan in plans
 
     def test_route_is_stable(self):
         queries = paper_queries()

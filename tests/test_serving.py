@@ -20,6 +20,7 @@ import pytest
 import repro
 
 from repro.core.parser import parse_obj
+from repro.fuzz.generator import generate_queries
 from repro.optimizer.optimizer import Optimizer
 from repro.parallel.batch import BatchOptimizer
 from repro.rewrite.pattern import canon
@@ -27,8 +28,8 @@ from repro.schema.generator import tiny_database
 from repro.serve import (AsyncServeClient, PlanServer, ServeClient,
                          ServeError, ServingPool, PoolClosedError)
 from repro.serve.protocol import (FrameError, MAX_FRAME, encode_frame,
-                                  query_body, read_frame_sock,
-                                  resolve_query)
+                                  query_body, read_frame,
+                                  read_frame_sock, resolve_query)
 from repro.serve.stats import snapshot_summary, stats_snapshot
 from repro.workloads.corpus import corpus_stream, serving_corpus
 
@@ -212,12 +213,59 @@ class TestServingPool:
             assert pool.warmup()
             for serial in range(4):
                 term = canon(parse_obj(KOLA.format(c=serial)))
-                pool.submit(serial, term.to_portable(), term=term)
+                pool.submit(serial, term)
             assert done.wait(timeout=60)
         assert sorted(replies) == [0, 1, 2, 3]
         assert all(outcome[0] == "ok" for outcome in replies.values())
         with pytest.raises(PoolClosedError):
-            pool.submit(9, None, slot=0)
+            pool.submit(9, term, slot=0)
+
+    def test_concurrent_submits_and_recycles_answer_once(self, tiny_db):
+        """More workers than cores, four submitting threads, two
+        recycles mid-stream and a tiny switch interval: every request
+        is answered exactly once and the pool's books end empty."""
+        terms = [canon(query) for query in generate_queries(30, seed=2305)]
+        counts: dict[int, int] = {}
+        outcomes = set()
+        guard = threading.Lock()
+        done = threading.Event()
+        total = 4 * len(terms)
+
+        def on_reply(serial, worker_id, outcome):
+            with guard:
+                counts[serial] = counts.get(serial, 0) + 1
+                outcomes.add(outcome[0])
+                if len(counts) == total:
+                    done.set()
+
+        def submit_all(offset):
+            for index, term in enumerate(terms):
+                pool.submit(offset + index, term)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServingPool(tiny_db, workers=4, backend="thread",
+                             queue_depth=None, on_reply=on_reply) as pool:
+                assert pool.warmup()
+                submitters = [threading.Thread(target=submit_all,
+                                               args=(k * len(terms),))
+                              for k in range(4)]
+                for thread in submitters:
+                    thread.start()
+                pool.recycle(0)
+                pool.recycle(1)
+                for thread in submitters:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert done.wait(timeout=60)
+                assert pool.inflight() == 0
+                assert not any(worker.pending for worker in pool._slots)
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(counts) == list(range(total))
+        assert set(counts.values()) == {1}
+        assert outcomes == {"ok"}
 
     def test_close_drains_inflight(self, tiny_db):
         replies = {}
@@ -227,7 +275,7 @@ class TestServingPool:
         pool.start()
         assert pool.warmup()
         term = canon(parse_obj(KOLA.format(c=99)))
-        pool.submit(0, term.to_portable(), term=term)
+        pool.submit(0, term)
         pool.close()          # must not race the in-flight reply away
         assert replies and replies[0][0] == "ok"
 
@@ -578,6 +626,39 @@ class TestAdmissionControl:
         direct = [Optimizer().optimize(q, serve_db) for q in queries]
         assert all(_results_match(s.result, d)
                    for s, d in zip(results, direct))
+
+
+class TestAsyncClientReadLoop:
+    def test_non_object_frame_fails_pending_requests(self, tmp_path):
+        """A well-framed response that is not a JSON object fails the
+        pending request with a protocol error (not "daemon closed the
+        connection"), and the connection refuses later requests instead
+        of leaving them waiting."""
+        path = str(tmp_path / "stub.sock")
+
+        async def answer_with_a_list(reader, writer):
+            await read_frame(reader)
+            writer.write(encode_frame([1, 2, 3]))
+            await writer.drain()
+            await reader.read()       # until the client hangs up
+            writer.close()
+
+        async def run():
+            server = await asyncio.start_unix_server(answer_with_a_list,
+                                                     path=path)
+            try:
+                async with AsyncServeClient(unix_path=path) as client:
+                    with pytest.raises(ServeError, match=(
+                            "protocol error: response frame must be a "
+                            "JSON object, got list")):
+                        await client.optimize(OQL.format(c=30))
+                    with pytest.raises(ServeError, match="read loop"):
+                        await client.ping()
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(asyncio.wait_for(run(), timeout=30))
 
 
 @pytest.mark.slow

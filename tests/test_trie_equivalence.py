@@ -5,8 +5,10 @@ The compiled matcher (:mod:`repro.rewrite.discrimination`) must be a
 pure dispatch shortcut: for every input term, rule group and strategy
 it produces the same normal forms, the same derivation step sequences,
 the same per-rule fire counts — and only ever *removes* match attempts
-without reordering the survivors.  The corpus is the fuzz corpus of
-:mod:`tests.test_fuzz_derivations` plus the Figure 4/5/8 derivation
+without reordering the survivors.  The per-group, per-strategy
+comparison of results, derivations and fire counts over the fuzz
+corpus is :mod:`tests.test_engine_equivalence`'s; this module checks
+the attempt order over that corpus and the Figure 4/5/8 derivation
 pipelines (the T1K/T2K blocks and the hidden-join untangler).
 
 A retrieval-level oracle additionally checks the trie against
@@ -16,8 +18,6 @@ the corpus: complete trie hits must carry exactly the bindings
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.coko.hidden_join import hidden_join_blocks
 from repro.coko.stdblocks import block_t1k, block_t2k
@@ -36,17 +36,6 @@ _MAX_STEPS = 40
 _GROUPS = ["simplify", "fig4", "fig5", "fig8", "companions", "structural"]
 
 
-def _run(engine: Engine, term, rules, strategy):
-    derivation = Derivation("equiv")
-    engine.stats.reset()
-    result = engine.normalize_result(term, rules, max_steps=_MAX_STEPS,
-                                     strategy=strategy,
-                                     derivation=derivation)
-    steps = [(step.rule.name, step.before, step.after, step.path)
-             for step in derivation.steps]
-    return result, steps, dict(engine.stats.per_rule)
-
-
 def _is_subsequence(shorter: list, longer: list) -> bool:
     it = iter(longer)
     return all(item in it for item in shorter)
@@ -62,29 +51,6 @@ def _subterms(term):
         seen.add(node)
         stack.extend(node.args)
     return seen
-
-
-@pytest.mark.parametrize("strategy", ["topdown", "bottomup"])
-@pytest.mark.parametrize("group", _GROUPS)
-def test_compiled_engine_matches_uncompiled(group, strategy, rulebase):
-    """Same results, derivations and fire counts — per group, per
-    strategy, across the whole fuzz corpus, against the reference
-    linear engine."""
-    rules = rulebase.group(group)
-    compiled = Engine()                                  # discrimination tree
-    linear = Engine(indexed=False)                       # reference
-
-    for query in _QUERIES:
-        c_result, c_steps, c_counts = _run(compiled, query, rules,
-                                           strategy)
-        l_result, l_steps, l_counts = _run(linear, query, rules,
-                                           strategy)
-        # interning makes "same term" an identity check
-        assert c_result.term is l_result.term
-        assert c_result.steps_used == l_result.steps_used
-        assert c_result.reached_fixpoint == l_result.reached_fixpoint
-        assert c_steps == l_steps
-        assert c_counts == l_counts
 
 
 def test_compiled_attempt_order_is_a_subsequence(rulebase):
