@@ -35,6 +35,15 @@ again.  A worker's plan cache returns the *same*
 encoded once per distinct object through a bounded memo; repeated
 queries ship the already-built payload.
 
+Failures are a deliberate boundary: the worker catches *every*
+``Exception`` a request raises (rebuilding, optimizing or encoding it)
+and ships it as ``("err", "Type: message", traceback)``, because a
+worker must answer every serial it was given and keep serving the rest
+of its queue; the client decides what an error means (the daemon
+replies with it, the batch layer reruns the query in-process and
+raises there).  Exceptions that are not ``Exception`` (``SystemExit``,
+``KeyboardInterrupt``) still end the worker, which closes its pipe.
+
 The module is import-light at the top level so ``spawn`` can load it
 quickly; the optimizer stack is imported inside :func:`worker_main`
 (which also sidesteps an import-order quirk in ``repro.schema``).

@@ -29,6 +29,19 @@ a budget degrades to "best plan found so far" rather than failure — the
 optimizer additionally keeps the greedy pipeline's result as a seed, so
 budget exhaustion can never produce a worse plan than greedy.
 
+A round skips work whose answer the run already knows.  The run keeps
+the key of every e-match it instantiated — the rule, the root class and
+the bindings and framing, ids as the pass enumerated them — and a
+match found again in a later round is skipped before its typed-apply
+check.  Ids are canonical when a match is enumerated, so a key whose
+ids have merged since can only miss (one harmless re-instantiation),
+never skip a match the run has not applied.  A typed-apply rejection
+is not recorded (best terms change, so it is judged again), nor is a
+match the e-node budget cut off.  Re-instantiating a known match is
+worse than its own cost: merges earlier in the round leave ids
+non-canonical, so it allocates duplicate e-nodes that the next
+``rebuild`` merges away, which the driver would count as progress.
+
 A **backoff scheduler** (after egg's ``BackoffScheduler``) keeps
 unproductive rules from dominating rounds: a rule that yields no new
 e-nodes for ``backoff_threshold`` consecutive rounds is banned for a
@@ -75,11 +88,15 @@ class SaturationBudget:
             upward closure of the classes dirtied since the previous
             round (new classes, merge survivors, classes that gained a
             spelling — congruence merges included).  Sound because a
-            *new* match must descend into a changed class, and clean
-            regions were fully matched in an earlier round; rounds run
-            with rules banned keep their frontier carried forward until
-            a fully-active round consumes it, so backoff still cannot
-            change what saturation reaches.  ``False`` restores the
+            *new* match must descend into a changed class: a clean
+            region was fully matched in an earlier round and its ids
+            and best terms are unchanged, so each of its matches is in
+            the run's applied set (which the match-everything passes
+            skip on finding it again) or a typed-apply rejection with
+            the same verdict.  Rounds run with rules banned keep their
+            frontier carried forward until a fully-active round
+            consumes it, so backoff still cannot change what
+            saturation reaches.  ``False`` restores the
             match-everything passes (the escape hatch).
     """
 
@@ -204,6 +221,9 @@ class Saturator:
         # engine's oracle, none of which change during a run.
         outcomes: dict[Term, list] = {}
         verdicts: dict[tuple[Term, Term], bool] = {}
+        # Keys (``EMatch.key``) of the e-matches instantiated so far:
+        # a match found again in a later round is skipped.
+        applied: set[tuple] = set()
 
         for iteration in range(budget.max_iterations):
             if egraph.enodes_allocated - baseline >= budget.max_enodes:
@@ -225,7 +245,8 @@ class Saturator:
             produced: set[str] = set()
             progressed = self._ematch_round(egraph, matcher, report,
                                             budget, active, produced,
-                                            scope, baseline, verdicts)
+                                            scope, baseline, verdicts,
+                                            applied)
             if not report.budget_hit and budget.reps_per_class:
                 rep_scope = scope
                 if scope is not None:
@@ -289,15 +310,22 @@ class Saturator:
                       produced: set[str],
                       scope: set[int] | None,
                       baseline: int,
-                      verdicts: dict[tuple[Term, Term], bool]) -> bool:
+                      verdicts: dict[tuple[Term, Term], bool],
+                      applied: set[tuple]) -> bool:
         """Match the active ``rules`` against every class (or only the
         ``scope`` classes when incremental matching is on), instantiate
         each RHS as e-nodes, merge.  Rule names that created anything
         new land in ``produced`` (the backoff scheduler's productivity
         signal).  ``verdicts`` memoizes the typed-apply guard per
-        ground pair.  Returns whether anything changed."""
+        ground pair.  ``applied`` holds the run's instantiated match
+        keys: a match already in it is skipped, and a match joins it
+        once instantiated (a typed-apply rejection is judged again in a
+        later round, as best terms change).  Returns whether anything
+        changed."""
         progressed = False
         for match in matcher.match_all(rules, class_ids=scope):
+            if match.key in applied:
+                continue
             if match.rule.needs_typed_apply:
                 pair = matcher.ground_pair(match)
                 if pair is None:
@@ -308,6 +336,7 @@ class Saturator:
                 if not verdict:
                     continue
             new_cid = matcher.instantiate(match)
+            applied.add(match.key)
             if egraph.find(new_cid) != egraph.find(match.cid):
                 progressed = True
                 produced.add(match.rule.name)

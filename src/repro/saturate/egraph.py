@@ -113,6 +113,15 @@ class EGraph:
         #: last :meth:`rebuild`; while it is ``False`` every id stored
         #: in the graph is canonical (see :meth:`require_rebuilt`).
         self._mutated = False
+        #: Bumped by every change :meth:`best_terms` can see: a new
+        #: class, a new e-node spelling in a class, a new member term,
+        #: a merge of two distinct classes, and a :meth:`rebuild` that
+        #: follows merges (re-keying can reorder a class's e-nodes).
+        self.version = 0
+        #: Merges since the last :meth:`rebuild`.
+        self._merged = False
+        #: ``(version, map)`` of the last :meth:`best_terms` result.
+        self._best: tuple[int, dict[int, Term]] | None = None
 
     # -- union-find ---------------------------------------------------------
 
@@ -131,6 +140,7 @@ class EGraph:
         self._parent.append(cid)
         self._classes[cid] = EClass()
         self._dirty.add(cid)
+        self.version += 1
         return cid
 
     def _note_parents(self, cid: int, child_ids: tuple[int, ...]) -> None:
@@ -160,6 +170,8 @@ class EGraph:
         absorbed = self._classes.pop(b)
         target = self._classes[a]
         self._dirty.add(a)
+        self.version += 1
+        self._merged = True
         moved = self._parents.pop(b, None)
         if moved is not None:
             bucket = self._parents.get(a)
@@ -219,6 +231,8 @@ class EGraph:
             else:
                 cid = self.find(cid)
             eclass = self._classes[cid]
+            if key not in eclass.nodes:
+                self.version += 1
             eclass.nodes[key] = (node.op, node.label, child_ids)
             self._note_parents(cid, child_ids)
             self._dirty.add(cid)  # every loop node is a new member term
@@ -226,6 +240,7 @@ class EGraph:
                 eclass.members[node] = self._seq
                 self._seq += 1
                 self._trim_members(eclass)
+                self.version += 1
             self._term_class[node] = cid
         return self.find(self._term_class[term])
 
@@ -248,6 +263,7 @@ class EGraph:
         eclass = self._classes[cid]
         if key not in eclass.nodes:
             self._dirty.add(cid)  # existing class gained a spelling
+            self.version += 1
         eclass.nodes[key] = (op, label, child_ids)
         self._note_parents(cid, child_ids)
         return cid
@@ -321,6 +337,9 @@ class EGraph:
                     (op, label, canon_children)
                 self._note_parents(cid, canon_children)
             eclass.nodes = rekeyed
+        if self._merged:
+            self.version += 1
+            self._merged = False
         self._mutated = False
 
     def require_rebuilt(self) -> None:
@@ -415,7 +434,13 @@ class EGraph:
         seeded from member terms (every class has at least one, so the
         map is total) and improved by rebuilding each e-node from its
         children's current bests.  Cyclic e-nodes simply never improve
-        on their class's finite members."""
+        on their class's finite members.
+
+        Computed once per :attr:`version`: while the graph is unchanged
+        every call returns the same map, which callers must not
+        mutate."""
+        if self._best is not None and self._best[0] == self.version:
+            return self._best[1]
         best: dict[int, Term] = {}
         for cid in self._classes:
             members = self.members_of(cid)
@@ -436,6 +461,7 @@ class EGraph:
                     if current is None or built.size() < current.size():
                         best[cid] = built
                         changed = True
+        self._best = (self.version, best)
         return best
 
     def sample_terms(self, cid: int, limit: int,

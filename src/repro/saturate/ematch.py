@@ -26,6 +26,14 @@ The matcher mirrors the term matcher's two refinements:
   prefixes over all classes covers every window position the term
   engine enumerates.
 
+A pass tries a rule only where it can match: at classes holding an
+e-node of its LHS root operator whose **reachable operators** — their
+e-nodes' operators plus their children's, computed once per pass to a
+fixpoint because classes can be cyclic — include every operator the
+LHS names (metavariables and ``compose`` aside).  Every match needs
+those operators at or below its root, so the filter drops no match,
+and a pruned (rule, class) walk spends no visit credit.
+
 Instantiation builds the rule's RHS directly as e-nodes over the bound
 classes (:meth:`~repro.saturate.egraph.EGraph.add_enode`) — no ground
 term is ever constructed, so applying a rule to a class whose subterm
@@ -70,7 +78,8 @@ class EMatch:
     window matches, or the peeled-off chain-prefix classes for
     invocation-peel matches (mutually exclusive)."""
 
-    __slots__ = ("rule", "cid", "bindings", "suffix", "peel_prefix")
+    __slots__ = ("rule", "cid", "bindings", "suffix", "peel_prefix",
+                 "key")
 
     def __init__(self, rule: Rule, cid: int,
                  bindings: dict[str, Binding],
@@ -81,6 +90,10 @@ class EMatch:
         self.bindings = bindings
         self.suffix = suffix
         self.peel_prefix = peel_prefix
+        #: The rule name, the root class and the framing plus sorted
+        #: bindings, with ids as the pass enumerated them (so canonical
+        #: then); set by :func:`_dedup`, which every match passes.
+        self.key: tuple | None = None
 
 
 class EMatcher:
@@ -116,15 +129,23 @@ class EMatcher:
         #: runs: each class's e-nodes and its compose children.
         self._nodes: dict[int, tuple] = {}
         self._compose_nodes: dict[int, list[tuple[int, int]]] = {}
+        #: Operator -> its bit in the reachable-operator masks, and
+        #: each LHS -> the mask of the operators it names, for the
+        #: matcher's lifetime.
+        self._op_bits: dict[str, int] = {}
+        self._needs: dict[Term, int] = {}
         self.refresh()
 
     def refresh(self) -> None:
         """Recompute per-class sorts and best terms and forget the
         compose memo (call after merges or rebuilds change the class
-        structure; the driver calls it once per round)."""
-        self._best = self.egraph.best_terms()
-        self._sorts = {cid: sort_of(term)
-                       for cid, term in self._best.items()}
+        structure; the driver calls it once per round).  Sorts are
+        recomputed only when the graph's best terms changed."""
+        best = self.egraph.best_terms()
+        if best is not self._best:
+            self._best = best
+            self._sorts = {cid: sort_of(term)
+                           for cid, term in best.items()}
         self._composed.clear()
 
     # -- match enumeration --------------------------------------------------
@@ -143,9 +164,14 @@ class EMatcher:
         The graph must be rebuilt (:class:`StaleEGraphError`
         otherwise): then every id it stores is canonical, and nothing
         changes it until the pass returns, so the pass reads each
-        class's e-nodes at most once and calls no ``find``.  A rule is
-        only tried at the classes holding an e-node of its LHS root
-        operator (every class for a metavariable root)."""
+        class's e-nodes at most once and calls no ``find``.
+
+        A rule is only tried at the classes holding an e-node of its
+        LHS root operator (every class for a metavariable root) and
+        reaching every operator its LHS names
+        (:meth:`_reachable_ops`): a match needs all of them at or
+        below its root, so the filter drops no match, and a pruned
+        walk spends no ``max_visits`` credit."""
         egraph = self.egraph
         egraph.require_rebuilt()
         out: list[EMatch] = []
@@ -158,19 +184,66 @@ class EMatcher:
             for cid in class_ids:
                 for op in {node[0] for node in self._enodes(cid)}:
                     rooted.setdefault(op, []).append(cid)
+            reach = self._reachable_ops()
             for rule in (self.rules if rules is None else rules):
-                if self._visits <= 0:
+                if self.truncated:
                     break
-                op = rule.lhs.op
-                for cid in (class_ids if op == "meta"
-                            else rooted.get(op, ())):
+                lhs = rule.lhs
+                need = self._needs.get(lhs)
+                if need is None:
+                    need = self._needs[lhs] = self._op_mask(
+                        op for op in lhs.ops
+                        if op not in ("meta", "compose"))
+                for cid in (class_ids if lhs.op == "meta"
+                            else rooted.get(lhs.op, ())):
+                    if reach[cid] & need != need:
+                        continue
                     if self._visits <= 0:
+                        # A walk the credits cannot pay for: the pass
+                        # is cut even though no walk's spend failed.
+                        self.truncated = True
                         break
                     out.extend(self._match_class(rule, cid))
         finally:
             self._nodes.clear()
             self._compose_nodes.clear()
         return out
+
+    def _op_mask(self, ops: Iterable[str]) -> int:
+        """The bitmask of ``ops`` (bits assigned on first sight)."""
+        bits = self._op_bits
+        mask = 0
+        for op in ops:
+            bit = bits.get(op)
+            if bit is None:
+                bit = bits[op] = 1 << len(bits)
+            mask |= bit
+        return mask
+
+    def _reachable_ops(self) -> dict[int, int]:
+        """Every class's reachable-operator mask, for one pass: the
+        operators of its e-nodes plus its children's masks.  Classes
+        can be cyclic, so the masks grow to a fixpoint (children
+        usually have smaller ids, so ascending sweeps settle fast)."""
+        class_ids = self.egraph.class_ids()
+        reach: dict[int, int] = {}
+        children: dict[int, set[int]] = {}
+        for cid in class_ids:
+            nodes = self._enodes(cid)
+            reach[cid] = self._op_mask({node[0] for node in nodes})
+            children[cid] = {child for node in nodes
+                             for child in node[2] if child != cid}
+        changed = True
+        while changed:
+            changed = False
+            for cid in class_ids:
+                mask = reach[cid]
+                for child in children[cid]:
+                    mask |= reach[child]
+                if mask != reach[cid]:
+                    reach[cid] = mask
+                    changed = True
+        return reach
 
     def _spend(self) -> bool:
         """Consume one pattern-walk credit; ``False`` ends the walk."""
@@ -536,5 +609,6 @@ def _dedup(matches: list[EMatch]) -> list[EMatch]:
         if signature in seen:
             continue
         seen.add(signature)
+        match.key = (match.rule.name, match.cid, signature)
         unique.append(match)
     return unique

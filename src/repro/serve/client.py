@@ -80,8 +80,12 @@ class ServeClient:
             return
         if self.unix_path is not None:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout)
-            sock.connect(self.unix_path)
+            try:
+                sock.settimeout(self.timeout)
+                sock.connect(self.unix_path)
+            except OSError:
+                sock.close()
+                raise
         else:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout)

@@ -22,7 +22,8 @@ compares) and exits 1 on any difference; ``--check --deep`` compares
 the twelve depth 2-4 hidden-join members instead, which are too slow
 for tier-1.  Either prints one line per query: its wall time (the
 whole saturate-mode ``optimize`` on a fresh optimizer, reported and
-never compared) and whether its outcome matches.
+never compared) and what moved: each differing ``report`` key as
+``old → new``, and the names of the other differing fields.
 """
 
 from __future__ import annotations
@@ -138,13 +139,29 @@ def changed_fields(fresh: list[dict],
             for now, then in zip(fresh, pinned)]
 
 
+def describe(now: dict, then: dict, fields: list[str]) -> str:
+    """What moved in one query's outcome: each differing ``report`` key
+    as ``old → new``, and the names of the other differing fields."""
+    parts = []
+    named = [field for field in fields if field != "report"]
+    if named:
+        parts.append(f"{', '.join(named)} changed")
+    if "report" in fields:
+        old, new = then["report"], now.get("report") or {}
+        keys = list(old) + [key for key in new if key not in old]
+        parts.append("report: " + ", ".join(
+            f"{key} {old.get(key)} → {new.get(key)}"
+            for key in keys if old.get(key) != new.get(key)))
+    return "; ".join(parts)
+
+
 def differences(fresh: list[dict], pinned: list[dict]) -> list[str]:
     """One line per query whose outcome differs from the pinned one."""
     changes = changed_fields(fresh, pinned)
     if changes is None:
         return [LIST_CHANGED]
-    return [f"{one['name']}: {', '.join(fields)} changed"
-            for one, fields in zip(fresh, changes) if fields]
+    return [f"{now['name']}: {describe(now, then, fields)}"
+            for now, then, fields in zip(fresh, pinned, changes) if fields]
 
 
 def main(argv=None) -> int:
@@ -161,14 +178,16 @@ def main(argv=None) -> int:
         queries = deep_queries() if args.deep else tier1_queries()
         timings: list[float] = []
         fresh = outcomes(queries, timings=timings)
-        changes = changed_fields(fresh, load()[key])
+        pinned = load()[key]
+        changes = changed_fields(fresh, pinned)
         if changes is None:
             print(LIST_CHANGED)
             return 1
         width = max(len(name) for name, _ in queries)
-        for (name, _), fields, seconds in zip(queries, changes, timings):
-            verdict = f"{', '.join(fields)} changed" if fields else "same"
-            print(f"{name:<{width}}  {seconds:7.3f} s  {verdict}")
+        for now, then, fields, seconds in zip(fresh, pinned, changes,
+                                              timings):
+            verdict = describe(now, then, fields) if fields else "same"
+            print(f"{now['name']:<{width}}  {seconds:7.3f} s  {verdict}")
         differing = sum(1 for fields in changes if fields)
         print(f"{len(queries)} {key} outcome(s) checked in "
               f"{sum(timings):.2f} s, {differing} differ")

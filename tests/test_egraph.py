@@ -130,6 +130,25 @@ class TestRepresentatives:
         best = egraph.best_terms()
         assert best[egraph.find(outer)] == _t("city o addr")
 
+    def test_best_terms_computed_once_per_version(self):
+        """An unchanged graph returns the same map; a re-added term or
+        a rebuild with no merges changes nothing, and a merge does."""
+        egraph = EGraph()
+        outer = egraph.add(_t("city o (id o addr)"))
+        egraph.rebuild()
+        best = egraph.best_terms()
+        assert egraph.best_terms() is best
+        egraph.add(_t("id o addr"))
+        egraph.rebuild()
+        assert egraph.best_terms() is best
+        egraph.merge(egraph.class_of(_t("id o addr")),
+                     egraph.add(_t("addr")))
+        merged = egraph.best_terms()
+        assert merged is not best
+        egraph.rebuild()
+        assert egraph.best_terms()[egraph.find(outer)] \
+            == _t("city o addr")
+
     def test_sample_terms_include_recombinations(self):
         egraph = EGraph()
         outer = egraph.add(_t("city o (id o addr)"))

@@ -3,6 +3,7 @@ optimizer's ``search="saturate"`` mode, the cross-query plan cache, the
 cost-model memo, and the uncosted-plan (no-db) regression."""
 
 from collections import Counter
+from copy import deepcopy
 
 import pytest
 
@@ -22,8 +23,8 @@ from repro.schema.generator import (GeneratorConfig, generate_database,
                                     tiny_database)
 from repro.translate.aqua_to_kola import translate_query
 from repro.workloads.hidden_join import HiddenJoinSpec, hidden_join_family
-from tests.regen_golden_saturation import (differences, load, outcomes,
-                                           tier1_queries)
+from tests.regen_golden_saturation import (DATABASE, differences, load,
+                                           outcomes, tier1_queries)
 
 _DB = tiny_database(seed=17)
 
@@ -177,11 +178,11 @@ class TestMatchWork:
         """Memo hits replay their fire counts, and skipped work changes
         nothing the run decides."""
         run, engine, _ = kg1_match_work
-        assert engine.stats.rewrites == 454
+        assert engine.stats.rewrites == 446
         report = run.report
         assert (report.iterations, report.enodes, report.classes,
                 report.rewrites_applied, report.merges,
-                report.match_truncations) == (8, 453, 80, 238, 373, 0)
+                report.match_truncations) == (8, 443, 80, 233, 363, 0)
 
     def test_match_all_needs_a_rebuilt_graph(self):
         """A merge since the last ``rebuild()`` leaves non-canonical
@@ -199,6 +200,22 @@ class TestMatchWork:
         matcher.refresh()
         assert [match.cid for match in matcher.match_all()] \
             == [egraph.find(age)]
+
+    def test_pass_cut_between_walks_is_truncated(self):
+        """Credits that run out exactly at the end of one walk still
+        cut the pass: the next rule's walk never runs, so the pass
+        reports itself truncated."""
+        egraph = EGraph()
+        egraph.add(canon(parse_fun("age o id")))
+        egraph.rebuild()
+        first = rule("drop-id", "$f o id", "$f")
+        again = rule("drop-id-again", "$f o id", "$f")
+        matcher = EMatcher(egraph, [first])
+        assert len(matcher.match_all()) == 1 and not matcher.truncated
+        cost = matcher.max_visits - matcher._visits
+        cut = EMatcher(egraph, [first, again], max_visits=cost)
+        assert [match.rule for match in cut.match_all()] == [first]
+        assert cut.truncated
 
     def test_compose_memo_cuts_cyclic_respelling(self, monkeypatch):
         """``id``'s class holds ``id o id``, so respelling ``id o age``
@@ -227,9 +244,10 @@ class TestMatchWork:
 
     def test_kg1_saturation_add_enode_calls(self, rulebase, queries,
                                             monkeypatch):
-        """One default-budget KG1 saturation needs about 7k
+        """One default-budget KG1 saturation needs about 2.5k
         ``add_enode`` calls; many more means chain respellings are
-        being re-derived within a round."""
+        being re-derived within a round, or matches already
+        instantiated in an earlier round are instantiated again."""
         calls = 0
         add_enode = EGraph.add_enode
 
@@ -241,7 +259,7 @@ class TestMatchWork:
         monkeypatch.setattr(EGraph, "add_enode", counting)
         Saturator(Engine(), rulebase.group_compiled("saturate")).run(
             [queries.kg1])
-        assert calls <= 20_000
+        assert calls <= 4_000
 
     def test_truncated_rounds_are_deterministic_and_sound(
             self, rulebase, queries, tiny_db):
@@ -255,10 +273,93 @@ class TestMatchWork:
         report = first.saturation
         assert (report.iterations, report.enodes, report.classes,
                 report.rewrites_applied, report.merges, report.rule_bans,
-                report.match_truncations) == (6, 89, 29, 44, 60, 105, 4)
+                report.match_truncations) == (6, 91, 29, 31, 62, 105, 5)
         assert first.saturation == second.saturation
         assert first.best_term is second.best_term
         assert first.execute(tiny_db) == eval_obj(queries.k4, tiny_db)
+
+
+class TestKnownWork:
+    """The premises of skipping work whose answer is known, as counts:
+    the reachable-operator filter drops no match, and a match the
+    applied set skips joins no classes."""
+
+    def test_operator_filter_drops_no_match(self, rulebase, monkeypatch):
+        """Every e-match pass of the tier-1 golden queries returns the
+        same matches, in the same order, as the same pass with every
+        class reaching every operator."""
+        match_all = EMatcher.match_all
+        passes = []
+
+        def compared(matcher, rules=None, class_ids=None):
+            matcher._reachable_ops = lambda: dict.fromkeys(
+                matcher.egraph.class_ids(), -1)
+            try:
+                everything = match_all(matcher, rules, class_ids)
+                assert not matcher.truncated
+            finally:
+                del matcher._reachable_ops
+            found = match_all(matcher, rules, class_ids)
+            assert not matcher.truncated
+            assert [match.key for match in found] \
+                == [match.key for match in everything]
+            passes.append(len(found))
+            return found
+
+        monkeypatch.setattr(EMatcher, "match_all", compared)
+        queries = tier1_queries()
+        outcomes(queries, rulebase)
+        assert len(passes) >= len(queries) and sum(passes) > 1000
+
+    def test_skipped_matches_join_nothing(self, rulebase, monkeypatch):
+        """Instantiating every match a round skipped, on a copy of the
+        graph as the round left it, joins no two of its classes."""
+        names = {"KG2", "K3", "K4", "hidden-join-1-gt",
+                 "hidden-join-1-gt-inapplicable", "hidden-join-1-eq",
+                 "hidden-join-1-eq-inapplicable"}
+        run, ematch_round = Saturator.run, Saturator._ematch_round
+        match_all = EMatcher.match_all
+        found: list = []
+        skipped: list = []
+        checked = [0]
+
+        def check(egraph):
+            if not skipped:
+                return
+            copy = deepcopy(egraph)
+            matcher = EMatcher(copy, [])
+            for match in skipped:
+                copy.merge(match.cid, matcher.instantiate(match))
+            copy.rebuild()
+            apart = egraph.class_ids()
+            assert len({copy.find(cid) for cid in apart}) == len(apart)
+            checked[0] += len(skipped)
+            skipped.clear()
+
+        def recording_match_all(matcher, *args, **kwargs):
+            found[:] = match_all(matcher, *args, **kwargs)
+            return found
+
+        def recording_round(saturator, egraph, *args):
+            check(egraph)      # the graph as the previous round left it
+            known = set(args[-1])
+            progressed = ematch_round(saturator, egraph, *args)
+            skipped.extend(m for m in found if m.key in known)
+            return progressed
+
+        def checked_run(saturator, *args, **kwargs):
+            finished = run(saturator, *args, **kwargs)
+            check(finished.egraph)
+            return finished
+
+        monkeypatch.setattr(EMatcher, "match_all", recording_match_all)
+        monkeypatch.setattr(Saturator, "_ematch_round", recording_round)
+        monkeypatch.setattr(Saturator, "run", checked_run)
+        db = generate_database(GeneratorConfig(**DATABASE))
+        for name, term in tier1_queries():
+            if name in names:
+                Optimizer(rulebase, search="saturate").optimize(term, db)
+        assert checked[0] > 1000
 
 
 class TestExtraction:

@@ -5,6 +5,7 @@ admission control, and graceful worker recycling."""
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
 import pathlib
 import signal
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -367,6 +369,54 @@ class TestServingPool:
             pool.start()
         monkeypatch.undo()
         pool.close()
+
+    def test_a_failing_query_is_answered_and_the_worker_serves_on(
+            self, tiny_db, monkeypatch):
+        """The worker's catch-all is its boundary: a query whose
+        optimize raises gets an ``("err", ...)`` reply carrying the
+        exception and its traceback, and the next query is served."""
+        marked = canon(parse_obj(KOLA.format(c=13)))
+        optimize = Optimizer.optimize
+
+        def failing(optimizer, term, *args, **kwargs):
+            if term is marked:
+                raise RuntimeError("marked query")
+            return optimize(optimizer, term, *args, **kwargs)
+
+        monkeypatch.setattr(Optimizer, "optimize", failing)
+        replies = {}
+        done = threading.Event()
+
+        def on_reply(serial, worker_id, outcome):
+            replies[serial] = outcome
+            if len(replies) == 2:
+                done.set()
+
+        with ServingPool(tiny_db, workers=1, backend="thread",
+                         on_reply=on_reply) as pool:
+            pool.submit(0, marked)
+            pool.submit(1, canon(parse_obj(KOLA.format(c=14))))
+            assert done.wait(timeout=60)
+        status, message, trace = replies[0]
+        assert (status, message) == ("err", "RuntimeError: marked query")
+        assert "Traceback" in trace and "marked query" in trace
+        assert replies[1][0] == "ok"
+
+
+class TestServeClient:
+    def test_failed_unix_connect_closes_its_socket(self, tmp_path,
+                                                   monkeypatch):
+        """A ping at a socket path nobody listens on raises, and the
+        socket it opened is closed then, not left to the collector."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        client = ServeClient(unix_path=str(tmp_path / "missing.sock"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(OSError):
+                client.ping()
+            gc.collect()
+        assert unraisable == []
 
 
 # -- a live daemon (thread backend) ------------------------------------------
