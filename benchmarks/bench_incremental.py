@@ -19,10 +19,11 @@ Three claims are measured:
    bit-identical to what the cold path computes for the same query:
    same best term (interned identity), same plan class, same estimated
    cost, same derivation rule sequence.
-3. **Incremental e-matching parity** — dirty-class-scoped match rounds
-   must leave every saturation report field identical to the
-   match-everything passes on the paper's Garage Query (the repo's
-   heaviest saturation workload).
+3. **Incremental e-matching parity** — saturation that reuses the
+   e-match walks and representative samples whose inputs are unchanged
+   must leave every saturation report field identical to walking and
+   sampling every class afresh each round, on the paper's Garage Query
+   (the repo's heaviest saturation workload).
 
 Run directly for the JSON artifact (written to
 ``BENCH_incremental.json`` at the repo root)::
@@ -92,8 +93,8 @@ def _mismatches(warm_results, cold_results) -> list[int]:
 
 
 def _incremental_match_parity() -> dict:
-    """Saturate the Garage Query with and without dirty-class scoping;
-    every report field must match."""
+    """Saturate the Garage Query with and without reusing unchanged
+    walks and samples; every report field must match."""
     from repro.rules.registry import standard_rulebase
     rulebase = standard_rulebase()
     pool = rulebase.group_compiled("saturate")

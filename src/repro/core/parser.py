@@ -73,6 +73,11 @@ _RESERVED = (set(_FUN_LEAVES) | set(_PRED_LEAVES) |
               "iterate", "iter", "join", "nest", "unnest",
               "bag_iterate", "bag_join", "list_iterate", "listify"})
 
+#: Tokens that can only start an object atom, and the tokens after a
+#: name that make it a whole object atom (see ``_Parser.at_atom_only``).
+_ATOM_STARTS = frozenset({"{", "[", "T", "F"})
+_ATOM_ENDS = frozenset({")", ",", "]", "}"})
+
 _SORT_NAMES = {"fun": Sort.FUN, "pred": Sort.PRED, "obj": Sort.OBJ,
                "any": Sort.ANY}
 
@@ -314,6 +319,8 @@ class _Parser:
     # -- objects -------------------------------------------------------------------------
 
     def obj(self) -> Term:
+        if self.at_atom_only():
+            return self.obj_atom()
         # Try `fun ! obj`
         mark = self.save()
         try:
@@ -334,6 +341,25 @@ class _Parser:
             pass
         self.restore(mark)
         return self.obj_atom()
+
+    def at_atom_only(self) -> bool:
+        """Whether the next token can only start an object atom — a
+        number, a string, ``{``, ``[``, ``T``, ``F``, or a plain name
+        that ends the expression (followed by ``)``, ``,``, ``]``,
+        ``}`` or the end).  The ``fun ! obj`` and ``pred ? obj``
+        attempts would both fail or stop short there, so :meth:`obj`
+        skips them."""
+        token = self.peek()
+        if token is None:
+            return False
+        kind, value = token
+        if kind in ("int", "float", "string") or value in _ATOM_STARTS:
+            return True
+        if kind != "ident" or value in _RESERVED:
+            return False
+        index = self.index + 1
+        return (index >= len(self.tokens)
+                or self.tokens[index][1] in _ATOM_ENDS)
 
     def obj_atom(self) -> Term:
         token = self.peek()

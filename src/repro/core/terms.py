@@ -46,6 +46,10 @@ import enum
 import weakref
 from typing import Hashable, Iterator
 
+# The atomic "delete this key if its value is a dead reference" that
+# ``weakref.WeakValueDictionary`` itself uses.
+from _weakref import _remove_dead_weakref
+
 from repro.core.errors import (EvalError, PortableTermError, TermError,
                                UnknownOperatorError)
 
@@ -67,10 +71,18 @@ class Sort(enum.Enum):
     ANY = "any"
 
 
-#: The cons table: ``(op, args, label)`` -> the unique interned node.
-#: Weak values — unused terms are collected normally.
-_CONS_TABLE: "weakref.WeakValueDictionary[tuple, Term]" = \
-    weakref.WeakValueDictionary()
+#: The cons table: ``(op, args, label)`` -> a weak reference to the
+#: unique interned node, so unused terms are collected normally.  A
+#: plain dict read and written with single C-level calls: a lookup is
+#: one ``get`` plus one dereference, and two threads interning one key
+#: keep one node (``setdefault``).
+_CONS_TABLE: dict[tuple, weakref.KeyedRef] = {}
+
+
+def _drop(ref: weakref.KeyedRef) -> None:
+    """A collected term's callback: remove its key if the entry there
+    is still a dead reference (a newer live node is never removed)."""
+    _remove_dead_weakref(_CONS_TABLE, ref.key)
 
 
 def interned_count() -> int:
@@ -122,9 +134,11 @@ class Term:
             key = (op, args, label)  # common case: no cross-type aliasing
         else:
             key = (op, args, _label_key(label))
-        cached = _CONS_TABLE.get(key)
-        if cached is not None:
-            return cached
+        ref = _CONS_TABLE.get(key)
+        if ref is not None:
+            cached = ref()
+            if cached is not None:
+                return cached
         self = super().__new__(cls)
         fill = object.__setattr__
         fill(self, "op", op)
@@ -145,8 +159,16 @@ class Term:
                  frozenset((op,)).union(*(child._ops for child in args)))
         else:
             fill(self, "_ops", frozenset((op,)))
-        _CONS_TABLE[key] = self
-        return self
+        mine = weakref.KeyedRef(self, _drop, key)
+        while True:
+            ref = _CONS_TABLE.setdefault(key, mine)
+            if ref is mine:
+                return self
+            cached = ref()
+            if cached is not None:
+                return cached  # another thread interned the key first
+            # A collected node whose callback has not run yet.
+            _remove_dead_weakref(_CONS_TABLE, key)
 
     def __init__(self, op: str, args: tuple["Term", ...] = (),
                  label: Hashable = None) -> None:
@@ -293,9 +315,7 @@ def mk(op: str, *args: Term, label: Hashable = None) -> Term:
         TermError: wrong number of arguments or an argument of the wrong
             sort (metavariables of sort ``ANY`` are accepted anywhere).
     """
-    from repro.core.signature import REGISTRY
-
-    sig = REGISTRY.get(op)
+    sig = (_REGISTRY if _REGISTRY is not None else _registry()).get(op)
     if sig is None:
         raise UnknownOperatorError(f"unknown operator {op!r}")
     if len(args) != len(sig.arg_sorts):
@@ -833,10 +853,30 @@ def sort_of(term: Term) -> Sort:
     """
     if term.op == "meta":
         return term.label[1]
+    return op_sort(term.op)
+
+
+#: The signature registry, bound on first use: ``repro.core.signature``
+#: imports this module, so it cannot be imported at the top.
+_REGISTRY: dict | None = None
+
+
+def _registry() -> dict:
+    global _REGISTRY
     from repro.core.signature import REGISTRY
-    sig = REGISTRY.get(term.op)
+    _REGISTRY = REGISTRY
+    return REGISTRY
+
+
+def op_sort(op: str) -> Sort:
+    """The result sort of operator ``op`` per the signature registry.
+
+    Raises:
+        UnknownOperatorError: ``op`` is not registered.
+    """
+    sig = (_REGISTRY if _REGISTRY is not None else _registry()).get(op)
     if sig is None:
-        raise UnknownOperatorError(f"unknown operator {term.op!r}")
+        raise UnknownOperatorError(f"unknown operator {op!r}")
     return sig.result_sort
 
 

@@ -59,7 +59,8 @@ from repro.exec.ir import (Compute, Dedup, Filter, Flatten, JoinProbe,
                            LoweredQuery, Map, NestGroup, Pipeline, Scan,
                            Sort, UnnestFlatten, WrapEnv, render)
 from repro.exec.lower import lower_query
-from repro.exec.scalar import scalar_fn, scalar_obj, scalar_pred
+from repro.exec.scalar import (is_const_true, scalar_fn, scalar_obj,
+                               scalar_pred)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.schema.adt import Database
@@ -339,8 +340,7 @@ class _Emitter:
             self.emit(f"for {b} in {right}:")
             self.indent += 1
             pair = self.make_pair(a, b)
-            test = self.emit_pred(args[0], pair)
-            self.emit(f"if not {self.as_code(test)}: continue")
+            self.emit_filter(args[0], pair)
             image = self.emit_fn(args[1], pair)
             self.emit(f"{acc}.add({self.as_code(image)})")
             self.indent -= 2
@@ -497,8 +497,7 @@ class _Emitter:
                   f"{context!r}):")
         self.indent += 1
         elem = self.make_pair(wrap, y) if wrap is not None else y
-        test = self.emit_pred(pred, elem)
-        self.emit(f"if not {self.as_code(test)}: continue")
+        self.emit_filter(pred, elem)
         image = self.emit_fn(fn, elem)
         self.emit(f"{acc}.add({self.as_code(image)})")
         self.indent -= 1
@@ -513,6 +512,14 @@ class _Emitter:
         return var
 
     # -- predicates ----------------------------------------------------------
+
+    def emit_filter(self, pred: Term, x) -> None:
+        """Skip the loop's element ``x`` unless ``pred`` holds for it;
+        ``Kp(T)`` holds for every element, so it emits nothing."""
+        if is_const_true(pred):
+            return
+        test = self.emit_pred(pred, x)
+        self.emit(f"if not {self.as_code(test)}: continue")
 
     def emit_pred(self, term: Term, x):
         op = term.op
@@ -724,8 +731,7 @@ class _Emitter:
                            body, env_atoms, seen_names)
             return
         if isinstance(op, Filter):
-            test = self.emit_pred(op.pred, x)
-            self.emit(f"if not {self.as_code(test)}: continue")
+            self.emit_filter(op.pred, x)
             self.emit_elem(indexed, pos + 1, x, body, env_atoms, seen_names)
             return
         if isinstance(op, WrapEnv):
@@ -842,8 +848,7 @@ class _Emitter:
             self.emit(f"for {a} in {items}:")
             self.indent += 1
             pair = self.make_pair(a, b)
-            test = self.emit_pred(probe.pred, pair)
-            self.emit(f"if not {self.as_code(test)}: continue")
+            self.emit_filter(probe.pred, pair)
             image = self.emit_fn(probe.fn, pair)
             per_elem(image)
             self.indent -= 1

@@ -51,6 +51,7 @@ which the benchmarks read to quantify matching costs.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.core.errors import TypeInferenceError
@@ -259,6 +260,9 @@ class Engine:
         self.indexed = indexed
         self.stats = EngineStats()
         self._nf_cache: dict = {}
+        #: Trie hits by ``(compiled set generation, interned term)``
+        #: while a :meth:`retrieval_memo` block is open, else ``None``.
+        self._retrieved: dict | None = None
 
     def clear_nf_cache(self) -> None:
         """Drop all memoized normal forms.  Call after mutating the
@@ -274,6 +278,35 @@ class Engine:
                 "hits": self.stats.nf_cache_hits,
                 "misses": self.stats.nf_cache_misses,
                 "evictions": self.stats.nf_cache_evictions}
+
+    @contextmanager
+    def retrieval_memo(self):
+        """Within the block, each (compiled rule set, term) pair is
+        retrieved from its trie once: the direct, window and peel
+        retrievals of every call share one table, which the block's
+        end drops.  Retrieval is a pure function of the pair, so
+        results are unchanged; only ``trie_retrievals`` and
+        ``trie_node_visits`` count fewer walks.  Nested blocks share
+        the outermost table."""
+        outer = self._retrieved
+        if outer is None:
+            self._retrieved = {}
+        try:
+            yield
+        finally:
+            self._retrieved = outer
+
+    def _retrieve(self, compiled: CompiledRuleSet, term: Term) -> list:
+        """``compiled.retrieve(term)``, through the open
+        :meth:`retrieval_memo` table if any."""
+        table = self._retrieved
+        if table is None:
+            return compiled.retrieve(term, self.stats)
+        key = (compiled.generation, term)
+        hits = table.get(key)
+        if hits is None:
+            hits = table[key] = compiled.retrieve(term, self.stats)
+        return hits
 
     def _as_candidates(self, rules):
         """Normalize a rule collection (list,
@@ -464,7 +497,7 @@ class Engine:
         while :meth:`successors` drains every rule.
         """
         stats = self.stats
-        hits = compiled.retrieve(node, stats)
+        hits = self._retrieve(compiled, node)
         direct: dict[int, dict | None] = {
             position: bindings for position, _, bindings in hits}
         if node.op == "compose":
@@ -555,7 +588,7 @@ class Engine:
                 # to compose-headed rules.
                 windows[key] = (window, tuple(
                     (position, bindings) for position, one_rule, bindings
-                    in compiled.retrieve(window, self.stats)
+                    in self._retrieve(compiled, window)
                     if one_rule.lhs.op == "compose"))
         table: dict[int, list] = {}
         for start in range(count):
@@ -602,7 +635,7 @@ class Engine:
         for split in range(1, len(factors)):
             view = Term("invoke", (build_chain(factors[split:]), arg))
             for position, one_rule, bindings in \
-                    compiled.retrieve(view, self.stats):
+                    self._retrieve(compiled, view):
                 if one_rule.lhs.op != "invoke":
                     continue  # peels are only offered to invoke heads
                 table.setdefault(position, []).append(

@@ -29,13 +29,34 @@ a budget degrades to "best plan found so far" rather than failure — the
 optimizer additionally keeps the greedy pipeline's result as a seed, so
 budget exhaustion can never produce a worse plan than greedy.
 
-A round skips work whose answer the run already knows.  The run keeps
-the key of every e-match it instantiated — the rule, the root class and
-the bindings and framing, ids as the pass enumerated them — and a
-match found again in a later round is skipped before its typed-apply
-check.  Ids are canonical when a match is enumerated, so a key whose
-ids have merged since can only miss (one harmless re-instantiation),
-never skip a match the run has not applied.  A typed-apply rejection
+A round redoes only the work whose inputs changed.
+
+* **Kept walks.**  The e-matcher returns a (rule, class) walk's matches
+  without walking while none of the classes it read has changed
+  (:mod:`repro.saturate.ematch`), so an unchanged region of the graph
+  costs one stamp check per walk.
+* **Kept samples.**  A class whose representatives were sampled and
+  every firing applied is not sampled again while its members, its
+  e-nodes and its children's best terms stand
+  (:meth:`~repro.saturate.egraph.EGraph.view_unchanged_since`): its
+  firings would only re-add terms already merged into it.  A firing a
+  ban dropped keeps the class unrecorded until it is applied.
+* **One retrieval table per run.**  Every representative round's
+  direct, window and peel trie retrievals go through one table keyed
+  by (compiled rule set, interned term)
+  (:meth:`~repro.rewrite.engine.Engine.retrieval_memo`), and each
+  representative's ``rewrites_at`` outcome is memoized; both depend
+  only on the term and the pool.
+* **Best terms** are an incremental e-class analysis the e-graph keeps
+  (:mod:`repro.saturate.egraph`); no round recomputes them whole.
+
+The run also keeps the key of every e-match it instantiated — the
+rule, the root class and the bindings and framing, ids as the pass
+enumerated them — and a match found again in a later round is skipped
+before its typed-apply check.  Ids are canonical when a match is
+enumerated, so a key whose ids have merged since can only miss (one
+harmless re-instantiation), never skip a match the run has not
+applied.  A typed-apply rejection
 is not recorded (best terms change, so it is judged again), nor is a
 match the e-node budget cut off.  Re-instantiating a known match is
 worse than its own cost: merges earlier in the round leave ids
@@ -84,20 +105,14 @@ class SaturationBudget:
             needs its own deterministic cap.  Exhaustion truncates the
             round (recorded as ``match_truncations``), never aborts
             the run.
-        incremental_match: restrict each round's match passes to the
-            upward closure of the classes dirtied since the previous
-            round (new classes, merge survivors, classes that gained a
-            spelling — congruence merges included).  Sound because a
-            *new* match must descend into a changed class: a clean
-            region was fully matched in an earlier round and its ids
-            and best terms are unchanged, so each of its matches is in
-            the run's applied set (which the match-everything passes
-            skip on finding it again) or a typed-apply rejection with
-            the same verdict.  Rounds run with rules banned keep their
-            frontier carried forward until a fully-active round
-            consumes it, so backoff still cannot change what
-            saturation reaches.  ``False`` restores the
-            match-everything passes (the escape hatch).
+        incremental_match: keep e-match walks and representative
+            samples across rounds and reuse them while their inputs
+            are unchanged (see the module docstring).  Exact: a kept
+            walk is what a fresh walk would find, and a skipped sample
+            would only re-add terms already merged into its class, so
+            every report field is the same either way.  ``False``
+            walks and samples every class afresh each round (the
+            escape hatch).
     """
 
     max_iterations: int = 8
@@ -201,20 +216,27 @@ class Saturator:
         egraph.rebuild()
         matcher = EMatcher(egraph, self.rules,
                            max_visits=budget.max_match_visits)
+        with self.engine.retrieval_memo():
+            self._rounds(egraph, matcher, report, baseline)
+        root = egraph.find(root)
+        report.enodes = egraph.enodes_allocated
+        report.enodes_added = egraph.enodes_allocated - baseline
+        report.classes = egraph.class_count()
+        report.merges = egraph.merges
+        return SaturationRun(egraph=egraph, root=root, report=report,
+                             seeds=tuple(seeds))
 
+    def _rounds(self, egraph: EGraph, matcher: EMatcher,
+                report: SaturationReport, baseline: int) -> None:
+        """Run saturation rounds until a fixpoint or a budget."""
+        budget = self.budget
+        incremental = budget.incremental_match
         # Backoff-scheduler state, all keyed by rule name: rounds of
         # consecutive unproductivity, the round index a ban ends at,
         # and the length the rule's *next* ban will have.
         streak: dict[str, int] = {}
         banned_until: dict[str, int] = {}
         next_cooldown: dict[str, int] = {}
-        # Incremental-match frontier: classes dirtied since the last
-        # *fully processed* round.  Rounds with rules banned or with a
-        # truncated/budget-cut match pass did not exhaust their
-        # frontier, so it carries forward until a clean round consumes
-        # it — exactly the ban-lift discipline the scheduler already
-        # follows for fixpoints.
-        carry: set[int] = set()
         # Run-scoped memos of pure per-term results: a representative's
         # ``rewrites_at`` outcomes and a ground pair's typed-apply
         # verdict depend only on the term(s), the rule pool and the
@@ -224,6 +246,9 @@ class Saturator:
         # Keys (``EMatch.key``) of the e-matches instantiated so far:
         # a match found again in a later round is skipped.
         applied: set[tuple] = set()
+        # Class -> the clock its representatives were sampled at, for
+        # the classes whose every firing was then applied.
+        sampled: dict[int, int] | None = {} if incremental else None
 
         for iteration in range(budget.max_iterations):
             if egraph.enodes_allocated - baseline >= budget.max_enodes:
@@ -231,41 +256,22 @@ class Saturator:
                 break
             report.iterations = iteration + 1
             matcher.refresh()
+            if not incremental:
+                matcher.forget_walks()
             active = [rule for rule in matcher.rules
                       if banned_until.get(rule.name, 0) <= iteration]
             banned = {rule.name for rule in matcher.rules} \
                 - {rule.name for rule in active}
             report.banned_skips += len(banned)
-            scope: set[int] | None = None
-            if budget.incremental_match:
-                carry |= egraph.dirty_classes()
-                egraph.clear_dirty()
-                scope = egraph.closure_up(carry)
-            truncations_before = report.match_truncations
             produced: set[str] = set()
             progressed = self._ematch_round(egraph, matcher, report,
                                             budget, active, produced,
-                                            scope, baseline, verdicts,
-                                            applied)
+                                            baseline, verdicts, applied)
             if not report.budget_hit and budget.reps_per_class:
-                rep_scope = scope
-                if scope is not None:
-                    # The e-match pass just ran and may have created
-                    # classes mid-round; the full enumeration would see
-                    # them now, so extend the closure with the fresh
-                    # dirt — but do NOT consume it: next round's
-                    # e-match pass still has to visit those classes.
-                    rep_scope = egraph.closure_up(
-                        carry | egraph.dirty_classes())
                 progressed |= self._representative_round(
                     egraph, report, budget, banned, produced,
-                    rep_scope, baseline, outcomes)
+                    baseline, outcomes, sampled)
             egraph.rebuild()
-            if budget.incremental_match and not banned \
-                    and not report.budget_hit \
-                    and report.match_truncations == truncations_before:
-                # Every rule saw the whole frontier: consumed.
-                carry.clear()
             if report.budget_hit:
                 break
             if not progressed and not banned:
@@ -294,26 +300,16 @@ class Saturator:
                         streak[name] = 0
                         report.rule_bans += 1
 
-        root = egraph.find(root)
-        report.enodes = egraph.enodes_allocated
-        report.enodes_added = egraph.enodes_allocated - baseline
-        report.classes = egraph.class_count()
-        report.merges = egraph.merges
-        return SaturationRun(egraph=egraph, root=root, report=report,
-                             seeds=tuple(seeds))
-
     # -- the two passes -----------------------------------------------------
 
     def _ematch_round(self, egraph: EGraph, matcher: EMatcher,
                       report: SaturationReport,
                       budget: SaturationBudget, rules: list,
                       produced: set[str],
-                      scope: set[int] | None,
                       baseline: int,
                       verdicts: dict[tuple[Term, Term], bool],
                       applied: set[tuple]) -> bool:
-        """Match the active ``rules`` against every class (or only the
-        ``scope`` classes when incremental matching is on), instantiate
+        """Match the active ``rules`` against every class, instantiate
         each RHS as e-nodes, merge.  Rule names that created anything
         new land in ``produced`` (the backoff scheduler's productivity
         signal).  ``verdicts`` memoizes the typed-apply guard per
@@ -323,13 +319,11 @@ class Saturator:
         later round, as best terms change).  Returns whether anything
         changed."""
         progressed = False
-        for match in matcher.match_all(rules, class_ids=scope):
+        for match in matcher.match_all(rules):
             if match.key in applied:
                 continue
             if match.rule.needs_typed_apply:
                 pair = matcher.ground_pair(match)
-                if pair is None:
-                    continue
                 verdict = verdicts.get(pair)
                 if verdict is None:
                     verdict = verdicts[pair] = _typed_apply_ok(*pair)
@@ -354,24 +348,29 @@ class Saturator:
                               budget: SaturationBudget,
                               banned: set[str],
                               produced: set[str],
-                              scope: set[int] | None,
                               baseline: int,
-                              outcomes: dict[Term, list]) -> bool:
+                              outcomes: dict[Term, list],
+                              sampled: dict[int, int] | None) -> bool:
         """Rewrite sampled member terms through the engine (covers
         oracle preconditions, typed application and peeling — the
         phases the structural e-matcher does not model).  Firings of
         ``banned`` rules are dropped; productive rule names land in
         ``produced``.  ``outcomes`` memoizes ``rewrites_at`` per
         representative; a hit replays its fire counts, as the engine's
-        normal-form cache does."""
+        normal-form cache does.  ``sampled`` (``None``: sample every
+        class) records the classes whose every firing was applied, and
+        such a class is skipped while its view of the graph stands."""
         engine = self.engine
-        best = egraph.best_terms()
-        class_ids = (egraph.class_ids() if scope is None
-                     else sorted({egraph.find(cid) for cid in scope}))
         matches: list[tuple[int, str, Term]] = []
-        for cid in class_ids:
-            for rep in egraph.sample_terms(
-                    cid, budget.reps_per_class, best):
+        complete: list[int] = []
+        for cid in egraph.class_ids():
+            if sampled is not None:
+                clock = sampled.get(cid)
+                if (clock is not None
+                        and egraph.view_unchanged_since(cid, clock)):
+                    continue
+            dropped = False
+            for rep in egraph.sample_terms(cid, budget.reps_per_class):
                 fired = outcomes.get(rep)
                 if fired is None:
                     fired = outcomes[rep] = engine.rewrites_at(
@@ -381,8 +380,12 @@ class Saturator:
                         engine.stats.count_rule(rule.name)
                 for rule, new_term, _ in fired:
                     if rule.name in banned:
+                        dropped = True
                         continue
                     matches.append((cid, rule.name, new_term))
+            if not dropped:
+                complete.append(cid)
+        clock = egraph.clock  # every view sampled above is at or before it
         progressed = False
         for cid, rule_name, new_term in matches:
             new_id = egraph.add(new_term)
@@ -393,5 +396,8 @@ class Saturator:
             egraph.merge(cid, new_id)
             if egraph.enodes_allocated - baseline >= budget.max_enodes:
                 report.budget_hit = "enodes"
-                break
+                return progressed
+        if sampled is not None:
+            for cid in complete:
+                sampled[cid] = clock
         return progressed

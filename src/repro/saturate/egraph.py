@@ -34,6 +34,29 @@ extraction uses them as guaranteed-finite fallbacks even when merges
 have made a class cyclic (``x = f(x)`` shapes arise naturally from
 identity rules).
 
+**Best terms are an incremental e-class analysis** (after egg's
+analyses, Willsey et al., POPL 2021, §4).  Every class keeps the size
+of its smallest known term and that term's *source* — a member term,
+or an e-node whose children supply their own best terms.  A new class,
+a new member or e-node, and a merge offer their candidate to the
+class; a class whose best shrinks is queued, and the queue is drained
+(:meth:`EGraph._settle`) along parent edges before any read and at the
+end of :meth:`EGraph.rebuild`, so a change costs work proportional to
+the classes it improves, never a whole-graph fixpoint.  Terms are
+built only when a caller reads a class (:meth:`EGraph.best_term`) and
+kept until its best changes; a class's sort is its source operator's
+(:meth:`EGraph.class_sort`).  Members win ties against e-nodes (the
+smallest, earliest member first), and an e-node replaces the incumbent
+only when strictly smaller.
+
+Every class also carries two clock **stamps**.  ``stamp`` moves when
+the class is created, merged or grown by an e-node — everything an
+e-match walk can see of it — and ``view`` additionally when it gains a
+member or its best term changes.  The e-matcher keeps walks whose
+classes kept their ``stamp``, and the saturation driver skips
+re-sampling classes whose own and children's ``view`` stand
+(:meth:`EGraph.unchanged_since`, :meth:`EGraph.view_unchanged_since`).
+
 Diagnostics: :meth:`EGraph.represented_counts` computes how many
 distinct terms each class stands for (saturating at a cap so cyclic
 classes report "effectively infinite" instead of diverging), which the
@@ -42,16 +65,20 @@ saturation benchmark compares against naive-BFS materialization.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator
+from typing import Hashable, Iterable, Iterator
 
 from repro.core.errors import KolaError
-from repro.core.terms import Term, _label_key
+from repro.core.terms import Sort, Term, _label_key, op_sort
 from repro.rewrite.pattern import canon
 
 #: Saturation cap for represented-term counting: classes at or above the
 #: cap (including cyclic classes, which represent infinitely many terms)
 #: report exactly this value.
 COUNT_CAP = 10 ** 18
+
+#: The tie-break rank of an e-node source: any member of equal size
+#: ranks before it.
+_BUILT = float("inf")
 
 
 class StaleEGraphError(KolaError):
@@ -70,20 +97,33 @@ def _node_key(op: str, label: Hashable,
 
 
 class EClass:
-    """One equivalence class: its e-nodes and member terms.
+    """One equivalence class: its e-nodes, member terms, best-term
+    analysis data and change stamps.
 
     ``nodes`` maps the congruence key (canonical at the last rebuild) to
     the e-node data ``(op, label, child class ids)``.  ``members`` holds
     the ground terms explicitly inserted into this class, bounded to the
     ``max_members`` smallest (ties broken by insertion order, so runs
-    are deterministic).
+    are deterministic).  ``size``/``rank``/``source`` describe the best
+    known term — its size, its tie-break rank (a member's insertion
+    number, :data:`_BUILT` for an e-node) and the member or e-node it
+    comes from — and ``term`` caches it once built.  ``stamp`` and
+    ``view`` are the graph clock at the class's last structural and
+    last visible change (see the module docstring).
     """
 
-    __slots__ = ("nodes", "members")
+    __slots__ = ("nodes", "members", "size", "rank", "source", "term",
+                 "stamp", "view")
 
-    def __init__(self) -> None:
+    def __init__(self, stamp: int) -> None:
         self.nodes: dict[tuple, tuple[str, Hashable, tuple[int, ...]]] = {}
         self.members: dict[Term, int] = {}
+        self.size = 0
+        self.rank: float = _BUILT
+        self.source: Term | tuple | None = None
+        self.term: Term | None = None
+        self.stamp = stamp
+        self.view = stamp
 
 
 class EGraph:
@@ -100,27 +140,20 @@ class EGraph:
         #: congruence merges never decrement it).
         self.enodes_allocated = 0
         self.merges = 0
-        #: Classes changed (created, merged, or grown by an e-node or
-        #: member) since the last :meth:`clear_dirty` — the incremental
-        #: e-matching frontier.  Ids may be stale (absorbed by later
-        #: merges); readers normalize through :meth:`find`.
-        self._dirty: set[int] = set()
         #: child class id -> ids of classes owning an e-node that
-        #: references it (the upward edges :meth:`closure_up` walks).
-        #: Keys and values may be stale; normalized on read.
+        #: references it (the edges the best-term analysis repairs
+        #: along).  Keys and values may be stale; normalized on read.
         self._parents: dict[int, set[int]] = {}
         #: Whether ``add``, ``add_enode`` or ``merge`` ran since the
         #: last :meth:`rebuild`; while it is ``False`` every id stored
         #: in the graph is canonical (see :meth:`require_rebuilt`).
         self._mutated = False
-        #: Bumped by every change :meth:`best_terms` can see: a new
-        #: class, a new e-node spelling in a class, a new member term,
-        #: a merge of two distinct classes, and a :meth:`rebuild` that
-        #: follows merges (re-keying can reorder a class's e-nodes).
-        self.version = 0
-        #: Merges since the last :meth:`rebuild`.
-        self._merged = False
-        #: ``(version, map)`` of the last :meth:`best_terms` result.
+        #: Ticks once per class stamp; stamps only ever grow.
+        self.clock = 0
+        #: Classes whose best term shrank or changed since their
+        #: parents last looked (an ordered set; see :meth:`_settle`).
+        self._pending: dict[int, None] = {}
+        #: ``(clock, map)`` of the last :meth:`best_terms` result.
         self._best: tuple[int, dict[int, Term]] | None = None
 
     # -- union-find ---------------------------------------------------------
@@ -135,12 +168,14 @@ class EGraph:
             parent[cid], cid = root, parent[cid]
         return root
 
+    def _tick(self) -> int:
+        self.clock += 1
+        return self.clock
+
     def _new_class(self) -> int:
         cid = len(self._parent)
         self._parent.append(cid)
-        self._classes[cid] = EClass()
-        self._dirty.add(cid)
-        self.version += 1
+        self._classes[cid] = EClass(self._tick())
         return cid
 
     def _note_parents(self, cid: int, child_ids: tuple[int, ...]) -> None:
@@ -169,9 +204,7 @@ class EGraph:
         self._parent[b] = a
         absorbed = self._classes.pop(b)
         target = self._classes[a]
-        self._dirty.add(a)
-        self.version += 1
-        self._merged = True
+        target.stamp = target.view = self._tick()
         moved = self._parents.pop(b, None)
         if moved is not None:
             bucket = self._parents.get(a)
@@ -185,6 +218,14 @@ class EGraph:
                 target.members[term] = seq
         self._trim_members(target)
         self.merges += 1
+        # The survivor keeps the better best term; the parents of the
+        # side that lost see a smaller child and are repaired.
+        if (absorbed.size, absorbed.rank) < (target.size, target.rank):
+            target.size, target.rank = absorbed.size, absorbed.rank
+            target.source, target.term = absorbed.source, absorbed.term
+            self._pending[a] = None
+        elif absorbed.size != target.size:
+            self._pending[a] = None
         return a
 
     def _trim_members(self, eclass: EClass) -> None:
@@ -193,6 +234,88 @@ class EGraph:
         kept = sorted(eclass.members.items(),
                       key=lambda item: (item[0].size(), item[1]))
         eclass.members = dict(kept[:self.max_members])
+
+    # -- best-term analysis -------------------------------------------------
+
+    def _offer(self, cid: int, eclass: EClass, size: int, rank: float,
+               source: Term | tuple) -> None:
+        """Make ``source`` the class's best when ``(size, rank)`` beats
+        the incumbent's.  A class nobody references yet queues
+        nothing: a parent added later reads its size then."""
+        if eclass.source is None or (size, rank) < (eclass.size,
+                                                    eclass.rank):
+            eclass.size, eclass.rank, eclass.source = size, rank, source
+            eclass.term = None
+            eclass.view = self._tick()
+            if cid in self._parents:
+                self._pending[cid] = None
+
+    def _node_size(self, child_ids: tuple[int, ...]) -> int:
+        """The size of an e-node built from its children's best terms."""
+        classes, find = self._classes, self.find
+        size = 1
+        for child in child_ids:
+            size += classes[find(child)].size
+        return size
+
+    def _settle(self) -> None:
+        """Drain the analysis worklist: every parent of a class whose
+        best changed offers each of its e-nodes again, and a parent
+        that improves is queued in turn.  Sizes only ever shrink, so
+        this reaches the least fixpoint the whole-graph iteration
+        would."""
+        pending = self._pending
+        classes, find = self._classes, self.find
+        while pending:
+            cid = find(pending.popitem()[0])
+            floor = classes[cid].size + 1  # no e-node over cid is smaller
+            for parent in self._parents.get(cid, ()):
+                owner = find(parent)
+                eclass = classes[owner]
+                best = eclass.size
+                if best <= floor:
+                    continue
+                source = None
+                for node in eclass.nodes.values():
+                    size = self._node_size(node[2])
+                    if size < best:
+                        best, source = size, node
+                if source is not None:
+                    self._offer(owner, eclass, best, _BUILT, source)
+
+    def best_term(self, cid: int) -> Term:
+        """The smallest known term of ``cid``'s class, built on first
+        read and kept until the class's best changes."""
+        self._settle()
+        classes, find = self._classes, self.find
+        root = find(cid)
+        stack = [root]
+        while stack:  # iterative: sources strictly shrink downwards
+            eclass = classes[stack[-1]]
+            if eclass.term is not None:
+                stack.pop()
+                continue
+            source = eclass.source
+            if type(source) is Term:
+                eclass.term = source
+                stack.pop()
+                continue
+            op, label, child_ids = source
+            kids = [classes[find(child)] for child in child_ids]
+            if any(kid.term is None for kid in kids):
+                stack.extend(find(child) for child in child_ids)
+                continue
+            eclass.term = canon(Term(op, tuple(kid.term for kid in kids),
+                                     label))
+            stack.pop()
+        return classes[root].term
+
+    def class_sort(self, cid: int) -> Sort:
+        """The sort of canonical ``cid``'s best term — its source
+        operator's result sort.  Reads a rebuilt graph (whose analysis
+        :meth:`rebuild` settled) without ``find``."""
+        source = self._classes[cid].source
+        return op_sort(source.op if type(source) is Term else source[0])
 
     # -- insertion ----------------------------------------------------------
 
@@ -231,16 +354,14 @@ class EGraph:
             else:
                 cid = self.find(cid)
             eclass = self._classes[cid]
-            if key not in eclass.nodes:
-                self.version += 1
-            eclass.nodes[key] = (node.op, node.label, child_ids)
-            self._note_parents(cid, child_ids)
-            self._dirty.add(cid)  # every loop node is a new member term
-            if node not in eclass.members:
-                eclass.members[node] = self._seq
+            self._put_enode(cid, eclass, key,
+                            (node.op, node.label, child_ids))
+            if node not in eclass.members:  # a loop node is a new member
+                seq = eclass.members[node] = self._seq
                 self._seq += 1
                 self._trim_members(eclass)
-                self.version += 1
+                eclass.view = self._tick()
+                self._offer(cid, eclass, node.size(), seq, node)
             self._term_class[node] = cid
         return self.find(self._term_class[term])
 
@@ -248,8 +369,8 @@ class EGraph:
                   child_ids: tuple[int, ...]) -> int:
         """Insert one e-node given by child *classes* (no ground term)
         and return its class — the e-matcher's instantiation primitive.
-        Classes created this way may have no member terms;
-        :meth:`best_terms` still covers them through e-node rebuilds."""
+        Classes created this way may have no member terms; their best
+        term comes from the e-node."""
         self._mutated = True
         child_ids = tuple(self.find(child) for child in child_ids)
         key = _node_key(op, label, child_ids)
@@ -260,13 +381,20 @@ class EGraph:
             self.enodes_allocated += 1
         else:
             cid = self.find(cid)
-        eclass = self._classes[cid]
-        if key not in eclass.nodes:
-            self._dirty.add(cid)  # existing class gained a spelling
-            self.version += 1
-        eclass.nodes[key] = (op, label, child_ids)
-        self._note_parents(cid, child_ids)
+        self._put_enode(cid, self._classes[cid], key,
+                        (op, label, child_ids))
         return cid
+
+    def _put_enode(self, cid: int, eclass: EClass, key: tuple,
+                   enode: tuple) -> None:
+        """Store ``enode`` in class ``cid`` under ``key``; a spelling
+        new to the class stamps it and offers its size."""
+        if key not in eclass.nodes:
+            eclass.stamp = eclass.view = self._tick()
+            self._offer(cid, eclass, self._node_size(enode[2]), _BUILT,
+                        enode)
+        eclass.nodes[key] = enode
+        self._note_parents(cid, enode[2])
 
     def find_enode(self, op: str, label: Hashable,
                    child_ids: tuple[int, ...]) -> int | None:
@@ -304,7 +432,8 @@ class EGraph:
     def rebuild(self) -> None:
         """Restore the congruence invariant: e-nodes that canonicalize
         to the same key live in the same class.  Runs upward-merge
-        passes to a fixpoint; each pass is O(e-nodes)."""
+        passes to a fixpoint; each pass is O(e-nodes).  Ends by
+        settling the best-term analysis."""
         while True:
             changed = False
             fresh: dict[tuple, int] = {}
@@ -337,9 +466,7 @@ class EGraph:
                     (op, label, canon_children)
                 self._note_parents(cid, canon_children)
             eclass.nodes = rekeyed
-        if self._merged:
-            self.version += 1
-            self._merged = False
+        self._settle()
         self._mutated = False
 
     def require_rebuilt(self) -> None:
@@ -363,42 +490,33 @@ class EGraph:
         graph: one hashcons probe, no ``find``."""
         return self._hashcons.get(_node_key(op, label, child_ids))
 
-    # -- incremental-matching frontier --------------------------------------
+    # -- change stamps ------------------------------------------------------
 
-    def dirty_classes(self) -> set[int]:
-        """Find-normalized classes changed since :meth:`clear_dirty`."""
-        return {self.find(cid) for cid in self._dirty}
+    def unchanged_since(self, cids: Iterable[int], clock: int) -> bool:
+        """Whether every class in ``cids`` is still canonical and was
+        neither merged nor grown by an e-node after ``clock`` (no
+        ``find``: an absorbed id simply counts as changed)."""
+        classes = self._classes
+        for cid in cids:
+            eclass = classes.get(cid)
+            if eclass is None or eclass.stamp > clock:
+                return False
+        return True
 
-    def clear_dirty(self) -> None:
-        """Mark the current state as fully processed (the saturation
-        driver calls this after consuming a round's frontier)."""
-        self._dirty.clear()
-
-    def closure_up(self, cids) -> set[int]:
-        """``cids`` plus every class reachable by following parent
-        edges upward (find-normalized).
-
-        This is the sound re-match frontier for incremental
-        e-matching: any *new* match must structurally descend into a
-        changed class, so its pattern root lies in the upward closure
-        of the dirty set — classes outside it were fully matched in an
-        earlier round against an identical local structure, and
-        re-matching them could only re-derive merges that are already
-        no-ops.
-        """
-        seen: set[int] = set()
-        frontier = [self.find(cid) for cid in cids]
-        parents = self._parents
-        while frontier:
-            cid = frontier.pop()
-            if cid in seen:
-                continue
-            seen.add(cid)
-            for parent in parents.get(cid, ()):
-                root = self.find(parent)
-                if root not in seen:
-                    frontier.append(root)
-        return seen
+    def view_unchanged_since(self, cid: int, clock: int) -> bool:
+        """Whether canonical ``cid``'s members, e-nodes and every
+        child's best term are as they were at ``clock`` — then
+        :meth:`sample_terms` returns what it returned then."""
+        self._settle()
+        classes, find = self._classes, self.find
+        eclass = classes[cid]
+        if eclass.view > clock:
+            return False
+        for node in eclass.nodes.values():
+            for child in node[2]:
+                if classes[find(child)].view > clock:
+                    return False
+        return True
 
     # -- views --------------------------------------------------------------
 
@@ -430,57 +548,31 @@ class EGraph:
     # -- representative terms ----------------------------------------------
 
     def best_terms(self) -> dict[int, Term]:
-        """One smallest known term per class, computed to a fixpoint:
-        seeded from member terms (every class has at least one, so the
-        map is total) and improved by rebuilding each e-node from its
-        children's current bests.  Cyclic e-nodes simply never improve
-        on their class's finite members.
+        """Every class's :meth:`best_term` (a total map) — for tests and
+        diagnostics; saturation reads classes one at a time.
 
-        Computed once per :attr:`version`: while the graph is unchanged
+        Built once per :attr:`clock`: while the graph is unchanged
         every call returns the same map, which callers must not
         mutate."""
-        if self._best is not None and self._best[0] == self.version:
+        self._settle()
+        if self._best is not None and self._best[0] == self.clock:
             return self._best[1]
-        best: dict[int, Term] = {}
-        for cid in self._classes:
-            members = self.members_of(cid)
-            if members:
-                best[cid] = members[0]
-        changed = True
-        while changed:
-            changed = False
-            for cid, eclass in self._classes.items():
-                for op, label, child_ids in eclass.nodes.values():
-                    resolved = [self.find(child) for child in child_ids]
-                    if any(child not in best for child in resolved):
-                        continue
-                    built = canon(Term(
-                        op, tuple(best[child] for child in resolved),
-                        label))
-                    current = best.get(cid)
-                    if current is None or built.size() < current.size():
-                        best[cid] = built
-                        changed = True
-        self._best = (self.version, best)
+        best = {cid: self.best_term(cid) for cid in self._classes}
+        self._best = (self.clock, best)
         return best
 
-    def sample_terms(self, cid: int, limit: int,
-                     best: dict[int, Term] | None = None) -> list[Term]:
+    def sample_terms(self, cid: int, limit: int) -> list[Term]:
         """Up to ``limit`` distinct representative terms of a class:
         its inserted members plus each e-node rebuilt from its
         children's best terms (so cross-class merges surface new
         representatives without re-inserting them), smallest first."""
-        if best is None:
-            best = self.best_terms()
         cid = self.find(cid)
         eclass = self._classes[cid]
         candidates: dict[Term, int] = dict(eclass.members)
         for op, label, child_ids in eclass.nodes.values():
-            resolved = [self.find(child) for child in child_ids]
-            if any(child not in best for child in resolved):
-                continue
             built = canon(Term(
-                op, tuple(best[child] for child in resolved), label))
+                op, tuple(self.best_term(child) for child in child_ids),
+                label))
             if built not in candidates:
                 candidates[built] = self._seq + 1  # after real members
         ranked = sorted(candidates.items(),

@@ -15,7 +15,8 @@ extraction bias.
 The matcher mirrors the term matcher's two refinements:
 
 * **Sorted metavariables** — a metavariable only binds to a class of
-  its sort (class sorts are read off each class's best known term).
+  its sort (a class's sort is its best term's operator's,
+  :meth:`~repro.saturate.egraph.EGraph.class_sort`).
 * **Associative chain matching** — compose chains are right-associated
   binary e-nodes, so a chain *suffix* is itself a class.  Pattern
   factor lists walk the compose e-nodes; a bare function metavariable
@@ -34,6 +35,17 @@ LHS names (metavariables and ``compose`` aside).  Every match needs
 those operators at or below its root, so the filter drops no match,
 and a pruned (rule, class) walk spends no visit credit.
 
+**Walks are kept.**  A (rule, root class) walk's matches are kept with
+what the walk read: the classes whose e-nodes it read or whose ids it
+bound (a window's suffix and a peel's prefix included) and the class
+sorts it checked.  A later pass returns them without walking while the
+e-graph has stamped none of those classes as merged or grown by an
+e-node (:meth:`~repro.saturate.egraph.EGraph.unchanged_since`) and
+their sorts stand, so they are exactly what a fresh walk would find, in
+the same order.  A walk that probed the hashcons for a chain
+(:meth:`EMatcher._probe_chain` reads classes it does not name) or ran
+out of visit credits is not kept, and a kept walk spends no credits.
+
 Instantiation builds the rule's RHS directly as e-nodes over the bound
 classes (:meth:`~repro.saturate.egraph.EGraph.add_enode`) — no ground
 term is ever constructed, so applying a rule to a class whose subterm
@@ -49,7 +61,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.terms import Sort, Term, sort_of
+from repro.core.terms import Sort, Term
 from repro.rewrite.pattern import (build_chain, canon, flatten_compose,
                                    is_bare_segment_var)
 from repro.rewrite.rule import Rule
@@ -117,8 +129,13 @@ class EMatcher:
         self.max_visits = max_visits
         self._visits = max_visits
         self.truncated = False
-        self._sorts: dict[int, Sort] = {}
-        self._best: dict[int, Term] = {}
+        #: Kept walks: ``(rule name, root class)`` -> ``(clock, classes
+        #: read, sorts read, matches)`` (see the module docstring).
+        self._kept: dict[tuple[str, int], tuple] = {}
+        #: What the running walk has read so far.
+        self._read: set[int] = set()
+        self._sorts_read: dict[int, Sort] = {}
+        self._probed = False
         #: ``(find(left), find(right))`` -> the class of ``left o
         #: right``, as :meth:`_compose_class` built it this round.
         self._composed: dict[tuple[int, int], int] = {}
@@ -134,32 +151,23 @@ class EMatcher:
         #: matcher's lifetime.
         self._op_bits: dict[str, int] = {}
         self._needs: dict[Term, int] = {}
-        self.refresh()
 
     def refresh(self) -> None:
-        """Recompute per-class sorts and best terms and forget the
-        compose memo (call after merges or rebuilds change the class
-        structure; the driver calls it once per round).  Sorts are
-        recomputed only when the graph's best terms changed."""
-        best = self.egraph.best_terms()
-        if best is not self._best:
-            self._best = best
-            self._sorts = {cid: sort_of(term)
-                           for cid, term in best.items()}
+        """Forget the compose memo (call after merges or rebuilds change
+        the class structure; the driver calls it once per round)."""
         self._composed.clear()
+
+    def forget_walks(self) -> None:
+        """Drop every kept walk, so the next pass walks afresh."""
+        self._kept.clear()
 
     # -- match enumeration --------------------------------------------------
 
-    def match_all(self, rules: "list[Rule] | None" = None,
-                  class_ids=None) -> list[EMatch]:
+    def match_all(self, rules: "list[Rule] | None" = None) -> list[EMatch]:
         """Every (rule, class) match in the graph, rule-priority-major
         then class-id order (deterministic).  ``rules`` restricts the
         pass to a subset of the pool — the saturation driver's backoff
-        scheduler passes the currently unbanned rules.  ``class_ids``
-        restricts which classes patterns may be *rooted* at — the
-        driver's incremental mode passes the dirty-set upward closure
-        (canonical ids, as :meth:`EGraph.closure_up` returns them);
-        metavariables inside a match still bind any class.
+        scheduler passes the currently unbanned rules.
 
         The graph must be rebuilt (:class:`StaleEGraphError`
         otherwise): then every id it stores is canonical, and nothing
@@ -171,15 +179,15 @@ class EMatcher:
         reaching every operator its LHS names
         (:meth:`_reachable_ops`): a match needs all of them at or
         below its root, so the filter drops no match, and a pruned
-        walk spends no ``max_visits`` credit."""
+        walk spends no ``max_visits`` credit, nor does a kept one."""
         egraph = self.egraph
         egraph.require_rebuilt()
         out: list[EMatch] = []
         self._visits = self.max_visits
         self.truncated = False
-        class_ids = (egraph.class_ids() if class_ids is None
-                     else sorted(class_ids))
+        class_ids = egraph.class_ids()
         rooted: dict[str, list[int]] = {}
+        kept = self._kept
         try:
             for cid in class_ids:
                 for op in {node[0] for node in self._enodes(cid)}:
@@ -194,20 +202,55 @@ class EMatcher:
                     need = self._needs[lhs] = self._op_mask(
                         op for op in lhs.ops
                         if op not in ("meta", "compose"))
+                name = rule.name
                 for cid in (class_ids if lhs.op == "meta"
                             else rooted.get(lhs.op, ())):
                     if reach[cid] & need != need:
                         continue
+                    entry = kept.get((name, cid))
+                    if entry is not None:
+                        if self._holds(entry):
+                            out.extend(entry[3])
+                            continue
+                        del kept[name, cid]
                     if self._visits <= 0:
                         # A walk the credits cannot pay for: the pass
                         # is cut even though no walk's spend failed.
                         self.truncated = True
                         break
-                    out.extend(self._match_class(rule, cid))
+                    out.extend(self._walk(rule, cid))
         finally:
             self._nodes.clear()
             self._compose_nodes.clear()
         return out
+
+    def _walk(self, rule: Rule, cid: int) -> list[EMatch]:
+        """A fresh walk of ``rule`` at ``cid``, kept when it read only
+        what its record names."""
+        read = self._read = set()
+        sorts = self._sorts_read = {}
+        self._probed = False
+        matches = self._match_class(rule, cid)
+        if not self._probed and not self.truncated:
+            for match in matches:
+                if match.suffix is not None:
+                    read.add(match.suffix)
+                if match.peel_prefix is not None:
+                    read.update(match.peel_prefix)
+            self._kept[rule.name, cid] = (self.egraph.clock, tuple(read),
+                                          sorts, matches)
+        return matches
+
+    def _holds(self, entry: tuple) -> bool:
+        """Whether a kept walk still is what a fresh walk would find."""
+        clock, read, sorts, _ = entry
+        egraph = self.egraph
+        if not egraph.unchanged_since(read, clock):
+            return False
+        for cid, sort in sorts.items():
+            if egraph.class_sort(cid) is not sort:
+                return False
+        return True
 
     def _op_mask(self, ops: Iterable[str]) -> int:
         """The bitmask of ``ops`` (bits assigned on first sight)."""
@@ -255,6 +298,7 @@ class EMatcher:
 
     def _enodes(self, cid: int) -> tuple:
         """The e-nodes of canonical class ``cid``, read once per pass."""
+        self._read.add(cid)
         nodes = self._nodes.get(cid)
         if nodes is None:
             nodes = self._nodes[cid] = self.egraph.rebuilt_enodes(cid)
@@ -263,6 +307,7 @@ class EMatcher:
     def _compose_enodes(self, cid: int) -> list[tuple[int, int]]:
         """The ``(left, right)`` children of ``cid``'s compose e-nodes,
         once per pass."""
+        self._read.add(cid)
         found = self._compose_nodes.get(cid)
         if found is None:
             found = self._compose_nodes[cid] = [
@@ -326,10 +371,10 @@ class EMatcher:
     def _sort_ok(self, var_sort: Sort, cid: int) -> bool:
         if var_sort is Sort.ANY:
             return True
-        class_sort = self._sorts.get(cid)
-        if class_sort is None or class_sort is Sort.ANY:
-            return True
-        return class_sort is var_sort
+        class_sort = self.egraph.class_sort(cid)
+        self._read.add(cid)
+        self._sorts_read[cid] = class_sort
+        return class_sort is Sort.ANY or class_sort is var_sort
 
     def _bind(self, bindings: dict, name: str,
               value: Binding) -> dict | None:
@@ -338,6 +383,7 @@ class EMatcher:
         equals a segment iff the segment's composition e-nodes already
         exist and land in the same class)."""
         normalized = value if isinstance(value, tuple) else (value,)
+        self._read.update(normalized)
         bound = bindings.get(name)
         if bound is None:
             fresh = dict(bindings)
@@ -357,6 +403,8 @@ class EMatcher:
     def _probe_chain(self, cids: tuple[int, ...]) -> int | None:
         """The class of the right-associated composition of ``cids``
         if its compose e-nodes all exist; never allocates."""
+        if len(cids) > 1:
+            self._probed = True  # a read of classes the walk does not name
         acc: int | None = cids[-1]
         for cid in reversed(cids[:-1]):
             acc = self.egraph.rebuilt_lookup("compose", None, (cid, acc))
@@ -575,24 +623,19 @@ class EMatcher:
 
     # -- typed-apply guard --------------------------------------------------
 
-    def ground_pair(self, match: EMatch) -> tuple[Term, Term] | None:
+    def ground_pair(self, match: EMatch) -> tuple[Term, Term]:
         """A representative (before, after) ground-term pair for a
-        match — used to evaluate the engine's typed-apply guard for
-        rules flagged ``needs_typed_apply``.  ``None`` when some bound
-        class has no known best term yet."""
+        match, from the bound classes' best terms — used to evaluate
+        the engine's typed-apply guard for rules flagged
+        ``needs_typed_apply``."""
+        best_term = self.egraph.best_term
         term_bindings: dict[str, Term] = {}
         for name, value in match.bindings.items():
             if isinstance(value, tuple):
-                parts = [self._best.get(self.egraph.find(c))
-                         for c in value]
-                if any(part is None for part in parts):
-                    return None
-                term_bindings[name] = build_chain(parts)
+                term_bindings[name] = build_chain(
+                    [best_term(c) for c in value])
             else:
-                part = self._best.get(self.egraph.find(value))
-                if part is None:
-                    return None
-                term_bindings[name] = part
+                term_bindings[name] = best_term(value)
         from repro.rewrite.pattern import instantiate
         before = canon(instantiate(match.rule.lhs, term_bindings))
         after = canon(instantiate(match.rule.rhs, term_bindings))

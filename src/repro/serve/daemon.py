@@ -30,6 +30,15 @@ workers.  The moving parts:
   :func:`repro.serve.stats_snapshot` and adds the server-level
   counters (served/shed/errors/recycles/in-flight).
 
+* **Failures end a request, never a connection.**  A request's
+  handler is a deliberate boundary: :meth:`PlanServer._handle_request`
+  answers a ``ServeError`` with its message and *any other*
+  ``Exception`` (a bug in a handler, or ``pool.submit`` failing) with
+  ``"Type: message"``, counts it in ``errors``, and the connection
+  goes on reading its next frame — one bad request must not drop the
+  requests pipelined behind it.  Only framing errors, which leave the
+  byte stream unreadable, close a connection.
+
 The daemon serves one search mode and one database (like one
 :class:`~repro.parallel.batch.BatchOptimizer`); plan choice stays
 deterministic, so anything served is bit-identical to a sequential
@@ -286,7 +295,7 @@ class PlanServer:
             self.counters["errors"] += 1
             response = {"id": request_id, "ok": False,
                         "error": str(error)}
-        except Exception as error:  # never kill the connection loop
+        except Exception as error:  # the request boundary (see module)
             self.counters["errors"] += 1
             response = {"id": request_id, "ok": False,
                         "error": f"{type(error).__name__}: {error}"}
@@ -334,12 +343,13 @@ class PlanServer:
         started = time.perf_counter()
         try:
             self.pool.submit(serial, term)
-        except WorkerSaturatedError as error:
-            self._futures.pop(serial, None)
-            return self._shed(request_id, str(error))
-        except PoolClosedError as error:
-            self._futures.pop(serial, None)
-            raise ServeError(str(error)) from None
+        except Exception as error:
+            self._futures.pop(serial, None)  # no reply will come
+            if isinstance(error, WorkerSaturatedError):
+                return self._shed(request_id, str(error))
+            if isinstance(error, PoolClosedError):
+                raise ServeError(str(error)) from None
+            raise
         self._inflight += 1
         worker_id, outcome = await future
         elapsed_ms = (time.perf_counter() - started) * 1000

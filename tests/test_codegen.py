@@ -141,6 +141,31 @@ class TestMessageParity:
 # -- db-late compilation ------------------------------------------------------
 
 
+class TestConstantTrueFilters:
+    """``Kp(T)`` keeps every element, so a loop filtered by it emits no
+    test; any other constant predicate keeps its checked test."""
+
+    @pytest.mark.parametrize("text", [
+        "iterate(Kp(T), iterate(Kp(T), id) o cars) ! P",
+        "iterate(Kp(T), join(Kp(T), pi1) o <cars, grgs>) ! P",
+    ])
+    def test_kp_true_emits_no_test(self, text):
+        kernel = compile_kernel(_q(text))
+        assert "Kp" not in kernel.source
+        assert kernel.run(DB) == eval_obj(_q(text), DB)
+
+    def test_kp_false_keeps_its_test(self):
+        text = "iterate(Kp(T), iterate(Kp(F), id) o cars) ! P"
+        kernel = compile_kernel(_q(text))
+        assert "as_bool(False, 'Kp')" in kernel.source
+        assert kernel.run(DB) == eval_obj(_q(text), DB)
+
+    def test_kp_non_boolean_still_raises(self):
+        text = "iterate(Kp(T), iterate(Kp(3), id) o cars) ! P"
+        message = _error(lambda: compile_kernel(_q(text)).run(DB))
+        assert message == "expected a boolean in Kp, got 3"
+
+
 class TestRetargeting:
     def test_one_kernel_many_databases(self):
         query = _q("iterate(gt @ <age, Kf(40)>, id) ! P")

@@ -130,6 +130,17 @@ class TestRepresentatives:
         best = egraph.best_terms()
         assert best[egraph.find(outer)] == _t("city o addr")
 
+    def test_best_terms_improve_when_the_smaller_class_survives(self):
+        """A merge keeps the better best term whichever class survives,
+        and the parents of the class that lost see it."""
+        egraph = EGraph()
+        outer = egraph.add(_t("city o (id o addr)"))
+        leaf = egraph.merge(egraph.add(_t("addr")), egraph.add(_t("cars")))
+        survivor = egraph.merge(leaf, egraph.class_of(_t("id o addr")))
+        assert survivor == egraph.find(leaf)
+        egraph.rebuild()
+        assert egraph.best_terms()[egraph.find(outer)] == _t("city o addr")
+
     def test_best_terms_computed_once_per_version(self):
         """An unchanged graph returns the same map; a re-added term or
         a rebuild with no merges changes nothing, and a merge does."""

@@ -119,6 +119,46 @@ class TestObjectParsing:
             parse_fun("")
 
 
+class TestNoBacktrackingErrors:
+    """``obj`` goes straight to an object atom where nothing else can
+    start, so well-formed queries parse without raising internally,
+    and malformed ones keep their messages."""
+
+    @pytest.fixture
+    def raised(self, monkeypatch):
+        from repro.core import parser
+        raised: list = []
+
+        class Counting(ParseError):
+            def __init__(self, *args) -> None:
+                raised.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(parser, "ParseError", Counting)
+        return raised
+
+    def test_well_formed_query_raises_nothing(self, raised):
+        for text in ("iterate(Kp(T), age) ! P",
+                     "join(eq @ (age >< age), pi1) ! [P, V]",
+                     "iterate(Cp(lt, 25) @ age, id) ! P",
+                     "iterate(Kp(T), <id, Kf({1, 2})>) ! P"):
+            parse_obj(text)
+        assert raised == []
+
+    @pytest.mark.parametrize("text, message", [
+        ("iterate(Kp(T), age) !", "'iterate' is not an object expression"),
+        ("[P, V", "expected ']', got 'end of input' (at position 5)"),
+        ("{1, 2", "expected a literal value (at position 5)"),
+        ("(P", "expected ')', got 'end of input' (at position 2)"),
+        ("5 5", "trailing input starting at '5' (at position 2)"),
+        ("T o age", "trailing input starting at 'o' (at position 2)"),
+    ])
+    def test_malformed_messages_kept(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            parse_obj(text)
+        assert str(caught.value) == message
+
+
 class TestMetavariables:
     def test_default_sorts_by_context(self):
         term = parse_fun("iterate($p, $f)")

@@ -12,6 +12,7 @@ from repro.core.parser import parse_fun
 from repro.optimizer.cost import CostModel, cost_cache_stats
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.physical import JoinNestPlan
+from repro.rewrite.discrimination import CompiledRuleSet
 from repro.rewrite.engine import Engine
 from repro.rewrite.pattern import canon
 from repro.rewrite.rule import rule
@@ -164,8 +165,8 @@ class TestMatchWork:
         assert max(work["reads"].values()) == 1
 
     def test_rewrites_at_once_per_representative(self, kg1_match_work):
-        """The representative rounds resample unchanged classes every
-        round; their outcomes come from the run's memo."""
+        """A representative sampled again in a later round takes its
+        outcomes from the run's memo."""
         _, _, work = kg1_match_work
         assert len(work["reps"]) == len(set(work["reps"]))
 
@@ -176,9 +177,10 @@ class TestMatchWork:
 
     def test_memo_hits_keep_fire_counts_and_report(self, kg1_match_work):
         """Memo hits replay their fire counts, and skipped work changes
-        nothing the run decides."""
+        nothing the run decides.  A class whose representatives need no
+        new sample is not sampled, so it replays nothing."""
         run, engine, _ = kg1_match_work
-        assert engine.stats.rewrites == 446
+        assert engine.stats.rewrites == 356
         report = run.report
         assert (report.iterations, report.enodes, report.classes,
                 report.rewrites_applied, report.merges,
@@ -264,7 +266,8 @@ class TestMatchWork:
     def test_truncated_rounds_are_deterministic_and_sound(
             self, rulebase, queries, tiny_db):
         """A pattern-walk budget small enough to cut most rounds of K4
-        still gives the same outcome on every run, and a correct plan."""
+        still gives the same outcome on every run, and a correct plan.
+        Kept walks spend no credits, so each cut pass gets further."""
         budget = SaturationBudget(max_match_visits=300)
         first, second = (
             Optimizer(rulebase, saturation_budget=budget).optimize(
@@ -273,7 +276,7 @@ class TestMatchWork:
         report = first.saturation
         assert (report.iterations, report.enodes, report.classes,
                 report.rewrites_applied, report.merges, report.rule_bans,
-                report.match_truncations) == (6, 91, 29, 31, 62, 105, 5)
+                report.match_truncations) == (8, 98, 29, 35, 69, 206, 7)
         assert first.saturation == second.saturation
         assert first.best_term is second.best_term
         assert first.execute(tiny_db) == eval_obj(queries.k4, tiny_db)
@@ -291,15 +294,15 @@ class TestKnownWork:
         match_all = EMatcher.match_all
         passes = []
 
-        def compared(matcher, rules=None, class_ids=None):
+        def compared(matcher, rules=None):
             matcher._reachable_ops = lambda: dict.fromkeys(
                 matcher.egraph.class_ids(), -1)
             try:
-                everything = match_all(matcher, rules, class_ids)
+                everything = match_all(matcher, rules)
                 assert not matcher.truncated
             finally:
                 del matcher._reachable_ops
-            found = match_all(matcher, rules, class_ids)
+            found = match_all(matcher, rules)
             assert not matcher.truncated
             assert [match.key for match in found] \
                 == [match.key for match in everything]
@@ -360,6 +363,130 @@ class TestKnownWork:
             if name in names:
                 Optimizer(rulebase, search="saturate").optimize(term, db)
         assert checked[0] > 1000
+
+
+def fixpoint_sizes(egraph: EGraph) -> dict[int, int]:
+    """Every class's smallest term size by the whole-graph iteration
+    the incremental analysis replaces: members seed, e-nodes improve."""
+    sizes = {cid: egraph.members_of(cid)[0].size()
+             for cid in egraph.class_ids() if egraph.members_of(cid)}
+    changed = True
+    while changed:
+        changed = False
+        for cid in egraph.class_ids():
+            for _, _, child_ids in egraph.enodes_of(cid):
+                kids = [egraph.find(child) for child in child_ids]
+                if any(kid not in sizes for kid in kids):
+                    continue
+                size = 1 + sum(sizes[kid] for kid in kids)
+                if size < sizes.get(cid, size + 1):
+                    sizes[cid] = size
+                    changed = True
+    return sizes
+
+
+class TestIncrementalWork:
+    """Each piece of work a round skips is exactly what redoing it
+    would give, checked over every round of the tier-1 golden
+    queries."""
+
+    def test_kept_walks_equal_fresh_walks(self, rulebase, monkeypatch):
+        """Every (rule, class) walk a pass returns without walking has
+        the keys, in the same order, of a fresh walk of that pass."""
+        holds, match_all = EMatcher._holds, EMatcher.match_all
+        served: list = []
+        compared = [0]
+
+        def recording_holds(matcher, entry):
+            kept = holds(matcher, entry)
+            if kept:
+                served.append(entry)
+            return kept
+
+        def checked(matcher, *args, **kwargs):
+            found = match_all(matcher, *args, **kwargs)
+            keys = {id(entry): key for key, entry in matcher._kept.items()}
+            rules = {one.name: one for one in matcher.rules}
+            fresh = EMatcher(matcher.egraph, [])
+            for entry in served:
+                name, cid = keys[id(entry)]
+                again = fresh._match_class(rules[name], cid)
+                assert not fresh.truncated
+                assert [match.key for match in again] \
+                    == [match.key for match in entry[3]]
+            compared[0] += len(served)
+            served.clear()
+            return found
+
+        monkeypatch.setattr(EMatcher, "_holds", recording_holds)
+        monkeypatch.setattr(EMatcher, "match_all", checked)
+        outcomes(tier1_queries(), rulebase)
+        assert compared[0] > 1000
+
+    def test_kept_walk_rebinds_a_merged_class(self):
+        """A walk that bound a class without reading its e-nodes or sort
+        (an unsorted metavariable) is not kept once that class is
+        merged away."""
+        egraph = EGraph()
+        egraph.add(canon(parse_fun("age o id")))
+        wide = egraph.merge(egraph.add(canon(parse_fun("city"))),
+                            egraph.add(canon(parse_fun("addr"))))
+        egraph.rebuild()
+        drop = rule("drop-id-any", "$f:any o id", "$f")
+        matcher = EMatcher(egraph, [drop])
+        matcher.match_all()
+        egraph.merge(egraph.class_of(canon(parse_fun("age"))), wide)
+        egraph.rebuild()
+        kept = [match.key for match in matcher.match_all()]
+        assert kept == [match.key
+                        for match in EMatcher(egraph, [drop]).match_all()]
+
+    def test_best_sizes_equal_the_fixpoint(self, rulebase, monkeypatch):
+        """After every rebuild each class's best term has the size the
+        whole-graph fixpoint finds."""
+        rebuild = EGraph.rebuild
+        checked = [0]
+
+        def compared(egraph):
+            rebuild(egraph)
+            sizes = fixpoint_sizes(egraph)
+            assert sorted(sizes) == egraph.class_ids()
+            copy = deepcopy(egraph)  # building terms must not steer the run
+            for cid, size in sizes.items():
+                assert copy.best_term(cid).size() == size
+            checked[0] += len(sizes)
+
+        monkeypatch.setattr(EGraph, "rebuild", compared)
+        outcomes(tier1_queries(), rulebase)
+        assert checked[0] > 2000
+
+    def test_one_retrieval_per_term_per_run(self, rulebase, monkeypatch):
+        """Within one saturation run no (rule set, term) pair is
+        retrieved from the trie twice."""
+        retrieve, run = CompiledRuleSet.retrieve, Saturator.run
+        seen: list = []
+        inside = [False]
+        total = [0]
+
+        def recording(compiled, subject, stats=None):
+            if inside[0]:
+                seen.append((compiled.generation, subject))
+            return retrieve(compiled, subject, stats)
+
+        def one_run(saturator, *args, **kwargs):
+            inside[0] = True
+            try:
+                return run(saturator, *args, **kwargs)
+            finally:
+                inside[0] = False
+                assert len(seen) == len(set(seen))
+                total[0] += len(seen)
+                seen.clear()
+
+        monkeypatch.setattr(CompiledRuleSet, "retrieve", recording)
+        monkeypatch.setattr(Saturator, "run", one_run)
+        outcomes(tier1_queries(), rulebase)
+        assert total[0] > 500
 
 
 class TestExtraction:

@@ -539,6 +539,30 @@ class TestDaemon:
                 client.optimize("definitely not oql (((")
             assert client.ping() < 5.0
 
+    def test_handler_failure_answers_and_keeps_serving(self, daemon,
+                                                       monkeypatch):
+        """A handler that raises anything (here ``pool.submit``) is
+        answered with ``Type: message`` and counted as an error; the
+        same connection serves its next request."""
+        server = daemon.server
+
+        def broken(serial, term):
+            raise RuntimeError("submit broke")
+
+        with ServeClient(host="127.0.0.1", port=daemon.port) as client:
+            errors = client.stats()["server"]["errors"]
+            pending = len(server._futures)
+            monkeypatch.setattr(server.pool, "submit", broken)
+            response = client.request({"id": 7, "op": "optimize",
+                                       **query_body(OQL.format(c=33))})
+            monkeypatch.undo()
+            assert response == {"id": 7, "ok": False,
+                                "error": "RuntimeError: submit broke"}
+            assert client.stats()["server"]["errors"] == errors + 1
+            assert len(server._futures) == pending
+            served = client.optimize(OQL.format(c=33))
+            assert served.worker >= 0
+
     def test_malformed_frame_closes_connection(self, daemon):
         sock = socket.create_connection(("127.0.0.1", daemon.port))
         try:

@@ -1,11 +1,15 @@
 """Unit tests for the KOLA term representation."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import constructors as C
+from repro.core import terms
 from repro.core.errors import TermError, UnknownOperatorError
-from repro.core.terms import Sort, Term, fun_var, meta, mk, obj_var, \
-    pred_var, sort_of
+from repro.core.terms import Sort, Term, fun_var, interned_count, meta, \
+    mk, obj_var, pred_var, sort_of
 
 
 class TestConstruction:
@@ -168,6 +172,24 @@ class TestInterning:
         assert term.ops == {"compose", "prim", "id"}
         assert term.is_ground()
         assert not C.compose(fun_var("f"), C.id_()).is_ground()
+
+    def test_dropped_term_leaves_the_table(self):
+        """The cons table holds its terms weakly: a term nobody holds
+        leaves it, and interning the same key again makes a fresh node
+        that is interned in turn.  (Checked on the key itself: other
+        tests' garbage makes the table's size move meanwhile.)"""
+        key = ("prim", (), "a_name_no_other_test_uses")
+        term = C.prim("a_name_no_other_test_uses")
+        assert terms._CONS_TABLE[key]() is term
+        assert interned_count() == len(terms._CONS_TABLE)
+        probe = weakref.ref(term)
+        del term
+        gc.collect()
+        assert probe() is None
+        assert key not in terms._CONS_TABLE
+        again = C.prim("a_name_no_other_test_uses")
+        assert again is C.prim("a_name_no_other_test_uses")
+        assert terms._CONS_TABLE[key]() is again
 
 
 class TestDeepChains:
