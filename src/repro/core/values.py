@@ -17,6 +17,7 @@ building result sets.
 
 from __future__ import annotations
 
+import zlib
 from typing import Iterable, Iterator
 
 from repro.core.errors import EvalError
@@ -61,12 +62,16 @@ class Instance:
     in an object database.
     """
 
-    __slots__ = ("adt", "oid", "_attrs")
+    __slots__ = ("adt", "oid", "_attrs", "_hash")
 
     def __init__(self, adt: str, oid: int) -> None:
         self.adt = adt
         self.oid = oid
         self._attrs: dict[str, object] = {}
+        # Not hash(adt): str hashes are salted per process, and set
+        # order over instances (so which element an error names) must
+        # be the same in every process.
+        self._hash = hash((zlib.crc32(adt.encode()), oid))
 
     def set_attr(self, name: str, value: object) -> None:
         """Define attribute ``name`` (database construction only)."""
@@ -95,7 +100,7 @@ class Instance:
         return self.adt == other.adt and self.oid == other.oid
 
     def __hash__(self) -> int:
-        return hash((Instance, self.adt, self.oid))
+        return self._hash
 
     def __reduce__(self):
         # Identity travels in the constructor args so a pickled cyclic

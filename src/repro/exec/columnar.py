@@ -223,19 +223,6 @@ def match_scan_prefix(scan: Scan, ops, *,
     return ScanPrefix(label, path, sort_path, tuple(filters), consumed)
 
 
-def filtered_column(filters, values) -> list:
-    """Apply ``(op, constant)`` filters to a value sequence, vectorized
-    when bit-identical results are guaranteed.  The fallback loop
-    short-circuits per element in sequence order, so the first
-    comparison the scalar path would raise on raises here too."""
-    mask = _vector_mask(filters, values)
-    if mask is not None:
-        return [item for item, keep in zip(values, mask) if keep]
-    return [item for item in values
-            if all(compare(op, constant, item)
-                   for op, constant in filters)]
-
-
 def columnar_scan(scan: Scan, ops):
     """Try to serve a scan prefix from cached columns.
 

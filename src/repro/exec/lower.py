@@ -25,8 +25,6 @@ and the compiled kernels.
 from __future__ import annotations
 
 from repro.core import constructors as C
-from repro.core.bags import KBag
-from repro.core.lists import KList
 from repro.core.terms import Term
 from repro.exec.ir import (Compute, Dedup, Filter, Flatten, JoinProbe,
                            LoweredQuery, Map, NestGroup, Pipeline, Scan,
@@ -334,18 +332,3 @@ def _lower_joinnest(term: Term) -> Pipeline | None:
     joined = Pipeline(probe, tuple(ops), "stream")
     group = NestGroup(joined, _stream_of(outer, "set"), C.pi1(), C.pi2())
     return Pipeline(group, (), "set")
-
-
-# -- literal-collection helpers ----------------------------------------------
-
-def literal_kind(term: Term) -> str | None:
-    """The collection kind of a literal term, if it is one."""
-    if term.op != "lit":
-        return None
-    if isinstance(term.label, frozenset):
-        return "set"
-    if isinstance(term.label, KBag):
-        return "bag"
-    if isinstance(term.label, KList):
-        return "list"
-    return None

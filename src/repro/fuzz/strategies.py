@@ -39,12 +39,3 @@ def kola_queries(config: FuzzConfig | None = None,
     return st.integers(0, max_seed).map(
         lambda seed: QueryGenerator(replace(base, seed=seed)).query())
 
-
-def seeded_queries(config: FuzzConfig | None = None,
-                   max_seed: int = MAX_SEED) -> st.SearchStrategy:
-    """Like :func:`kola_queries` but yields ``(seed, query)`` pairs —
-    for tests that want to report the replay seed on failure."""
-    base = config or FuzzConfig()
-    return st.integers(0, max_seed).map(
-        lambda seed: (seed,
-                      QueryGenerator(replace(base, seed=seed)).query()))

@@ -127,7 +127,6 @@ class BatchOptimizer:
 
     def __init__(self, db=None, *, workers: int | None = None,
                  search: str = "greedy", budget=None,
-                 plan_cache_max: int | None = None,
                  abstract_cache: bool = True) -> None:
         if search not in SEARCH_MODES:
             raise ValueError(f"unknown search mode {search!r}; "
@@ -138,7 +137,6 @@ class BatchOptimizer:
         self.workers = max(1, workers)
         self.search = search
         self.budget = budget
-        self.plan_cache_max = plan_cache_max
         self.abstract_cache = abstract_cache
         self.mode = "in-process"
         self.start_error: str | None = None  # why the pool fell back
@@ -165,19 +163,15 @@ class BatchOptimizer:
         """The in-process optimizer (fallback runs, replans, reruns).
 
         Its plan cache gets the *aggregate* capacity the pool's
-        workers would have had (``PLAN_CACHE_MAX × workers`` unless the
-        caller pinned ``plan_cache_max``): when a pool falls back
-        in-process, a corpus sized for the workers' caches combined
-        must not thrash one default-sized cache.
+        workers would have had (``PLAN_CACHE_MAX × workers``): when a
+        pool falls back in-process, a corpus sized for the workers'
+        caches combined must not thrash one default-sized cache.
         """
         if self._local is None:
-            capacity = (self.plan_cache_max
-                        if self.plan_cache_max is not None
-                        else Optimizer.PLAN_CACHE_MAX * self.workers)
-            self._local = Optimizer(search=self.search,
-                                    saturation_budget=self.budget,
-                                    plan_cache_max=capacity,
-                                    abstract_cache=self.abstract_cache)
+            self._local = Optimizer(
+                search=self.search, saturation_budget=self.budget,
+                plan_cache_max=Optimizer.PLAN_CACHE_MAX * self.workers,
+                abstract_cache=self.abstract_cache)
         return self._local
 
     def start(self) -> bool:
@@ -333,7 +327,6 @@ class BatchOptimizer:
 
 def optimize_many(queries, db=None, *, workers: int | None = None,
                   search: str = "greedy", budget=None,
-                  plan_cache_max: int | None = None,
                   abstract_cache: bool = True) -> BatchReport:
     """One-shot batch optimization (pool started and torn down inside).
 
@@ -346,16 +339,12 @@ def optimize_many(queries, db=None, *, workers: int | None = None,
         search: ``"greedy"`` or ``"saturate"``.
         budget: :class:`~repro.saturate.driver.SaturationBudget` for
             saturate-mode runs.
-        plan_cache_max: exact-level plan-cache capacity of the
-            in-process fallback optimizer (defaults to the pool's
-            aggregate, ``PLAN_CACHE_MAX × workers``).
         abstract_cache: enable the parameterized plan-cache level,
             skeleton-affinity routing and warm e-graph reuse
             (``False`` = exact keying and exact-payload routing).
     """
     batch = BatchOptimizer(db, workers=workers, search=search,
-                           budget=budget, plan_cache_max=plan_cache_max,
-                           abstract_cache=abstract_cache)
+                           budget=budget, abstract_cache=abstract_cache)
     try:
         return batch.optimize_many(queries)
     finally:

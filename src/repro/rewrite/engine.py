@@ -264,13 +264,6 @@ class Engine:
         #: while a :meth:`retrieval_memo` block is open, else ``None``.
         self._retrieved: dict | None = None
 
-    def clear_nf_cache(self) -> None:
-        """Drop all memoized normal forms.  Call after mutating the
-        property oracle's annotations: cached results memoize rewrites
-        that were precondition-checked against the oracle's old state.
-        """
-        self._nf_cache.clear()
-
     def nf_cache_info(self) -> dict:
         """Size and traffic of the normal-form cache (diagnostics)."""
         return {"size": len(self._nf_cache),

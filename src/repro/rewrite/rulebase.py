@@ -78,12 +78,6 @@ class RuleBase:
         self._generation_total += 1
         return one_rule
 
-    def add_all(self, some_rules: Iterable[Rule],
-                groups: Iterable[str] = ()) -> None:
-        group_list = list(groups)
-        for one_rule in some_rules:
-            self.add(one_rule, group_list)
-
     def extend_group(self, group: str, names: Iterable[str]) -> None:
         """Add already-registered rules (by name) to a group."""
         names = list(names)

@@ -71,6 +71,8 @@ skipped during matching.  A fixpoint is only declared *saturated* when
 a round with **no** rules banned makes no progress — an idle round
 with bans outstanding lifts the bans and retries instead, so backoff
 never changes what saturation can reach, only how fast it gets there.
+An idle round whose e-match pass ran out of visit credits is no
+fixpoint either: matches it never reached may still add e-nodes.
 """
 
 from __future__ import annotations
@@ -274,9 +276,9 @@ class Saturator:
             egraph.rebuild()
             if report.budget_hit:
                 break
-            if not progressed and not banned:
-                # A full round with every rule active changed nothing:
-                # that is a genuine fixpoint.
+            if not progressed and not banned and not matcher.truncated:
+                # A full round with every rule active and every match
+                # seen changed nothing: that is a genuine fixpoint.
                 report.saturated = True
                 break
             if not progressed:

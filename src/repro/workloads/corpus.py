@@ -1,7 +1,8 @@
 """Deterministic query corpora for batch optimization.
 
-The batch layer (:mod:`repro.parallel.batch`) and its benchmark need a
-*reproducible* stream of queries with two independent knobs:
+The batch layer (:mod:`repro.parallel.batch`), ``repro.cli
+optimize-batch`` and the tests need a *reproducible* stream of queries
+with two independent knobs:
 
 * **distinct** — how many different queries exist.  This is what plan
   caches care about: a corpus with more distinct queries than a cache
@@ -28,12 +29,11 @@ evicted between its consecutive uses.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
 from repro.core.parser import parse_obj
-from repro.core.terms import Term, abstract_constants
+from repro.core.terms import Term
 from repro.rewrite.pattern import canon
 from repro.translate.aqua_to_kola import translate_query
 from repro.workloads.hidden_join import HiddenJoinSpec, hidden_join_family
@@ -118,98 +118,20 @@ def generate_corpus(config: CorpusConfig | None = None) -> list[Term]:
 
 
 def corpus_stream(queries: list[Term], traffic: int,
-                  seed: int = 2026, shuffle: bool = True,
-                  zipf: float | None = None) -> list[Term]:
-    """A traffic stream of ``traffic`` optimize calls over ``queries``.
-
-    With ``zipf=None`` (the default), the stream is whole passes —
-    each query once per pass, per-pass order shuffled from ``seed``.
-    Cyclic passes are the adversarial pattern for an undersized LRU.
-
-    With ``zipf=s`` the stream is ``traffic`` independent draws with
-    popularity weight ``1/rank**s`` — the skewed arrival pattern real
-    serving traffic has (a warm head of popular families plus a long
-    cold tail).  ``shuffle`` then randomizes which query gets which
-    popularity rank (still seeded); ``shuffle=False`` ranks them in
-    list order.  Deterministic for equal inputs either way.
+                  seed: int = 2026) -> list[Term]:
+    """A traffic stream of ``traffic`` optimize calls over ``queries``:
+    whole passes, each query once per pass, per-pass order shuffled
+    from ``seed``.  Cyclic passes are the adversarial pattern for an
+    undersized LRU.  Deterministic for equal inputs.
     """
     if traffic < 0:
         raise ValueError("traffic must be >= 0")
     if not queries:
         raise ValueError("corpus_stream needs at least one query")
     rng = random.Random(seed)
-    if zipf is not None:
-        if zipf < 0:
-            raise ValueError("zipf skew must be >= 0")
-        ranked = list(queries)
-        if shuffle:
-            rng.shuffle(ranked)
-        weights = [1.0 / (rank ** zipf)
-                   for rank in range(1, len(ranked) + 1)]
-        return rng.choices(ranked, weights=weights, k=traffic)
     stream: list[Term] = []
     while len(stream) < traffic:
         one_pass = list(queries)
-        if shuffle:
-            rng.shuffle(one_pass)
+        rng.shuffle(one_pass)
         stream.extend(one_pass)
     return stream[:traffic]
-
-
-#: Stage alphabet for :func:`serving_corpus` pipelines — each stage is
-#: element-preserving over Persons, so any composition is well-formed.
-#: Structural variety (not constant variety) is the point: two
-#: different stage sequences are two different *skeletons*.
-_SERVING_STAGES: tuple[str, ...] = (
-    "iterate(gt @ <age, Kf({c})>, id)",
-    "iterate(lt @ <age, Kf({c})>, id)",
-    "iterate(Kp(T), id)",
-    "iterate(Kp(T), pi1) o iterate(Kp(T), <id, id>)",
-)
-
-#: Final projection heads (leftmost stage) for serving pipelines.
-_SERVING_HEADS: tuple[str, ...] = (
-    "",
-    "iterate(Kp(T), age) o ",
-    "iterate(Kp(T), city o addr) o ",
-    "iterate(Kp(T), name) o ",
-)
-
-
-def serving_corpus(distinct: int, seed: int = 2026) -> list[Term]:
-    """A corpus of ``distinct`` queries with ``distinct`` *skeletons*.
-
-    :func:`generate_corpus` varies mostly constants, so the
-    parameterized plan-cache level (PR 7) collapses its families into
-    a handful of skeleton entries — fine for exercising the exact
-    cache, useless for sizing workloads *beyond* one process's
-    parameterized capacity.  This generator instead enumerates
-    shape-varied Person pipelines (every head × stage-sequence
-    combination is a structurally different query), deduplicated on
-    the constant-abstracted skeleton, so ``distinct`` counts skeleton
-    families.  A corpus sized past one optimizer's cache capacities
-    then measures aggregate pool capacity, not CPU parallelism.
-
-    Deterministic term-for-term: enumeration order is fixed and
-    ``seed`` only drives the varying comparison constants.
-    """
-    if distinct < 1:
-        raise ValueError("serving_corpus needs distinct >= 1")
-    rng = random.Random(seed)
-    queries: list[Term] = []
-    seen: set[Term] = set()
-    for length in itertools.count(1):
-        for combo in itertools.product(range(len(_SERVING_STAGES)),
-                                       repeat=length):
-            for head in _SERVING_HEADS:
-                stages = " o ".join(_SERVING_STAGES[i] for i in combo)
-                text = (head + stages + " ! P").format(
-                    c=rng.randint(1, 97))
-                term = canon(parse_obj(text))
-                skeleton = abstract_constants(term)[0]
-                if skeleton in seen:
-                    continue
-                seen.add(skeleton)
-                queries.append(term)
-                if len(queries) >= distinct:
-                    return queries

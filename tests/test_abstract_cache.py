@@ -224,6 +224,26 @@ class TestParamCache:
         param = warm.plan_cache_info()["param"]
         assert param["misses"] == 1 and param["hits"] == 3
 
+    def test_template_stream_in_saturate_mode(self):
+        """Every corpus template at 12 constants, interleaved so that
+        no query repeats: each distinct skeleton is saturated cold
+        once, every other query is a parameterized hit with the cold
+        path's plan, and no corpus constant is blocked."""
+        db = generate_database(GeneratorConfig(
+            n_persons=100, n_vehicles=60, n_addresses=25, seed=2026))
+        stream = [_q(template.format(c=constant))
+                  for constant in range(1, 13)
+                  for _, template in _TEMPLATES]
+        skeletons = {abstract_constants(term)[0] for term in stream}
+        warm = Optimizer(search="saturate")
+        cold = Optimizer(search="saturate", abstract_cache=False)
+        for term in stream:
+            assert _mismatch(warm.optimize(term, db),
+                             cold.optimize(term, db)) == [], term
+        param = warm.plan_cache_info()["param"]
+        assert param["hits"] == len(stream) - len(skeletons)
+        assert param["blocked"] == 0
+
     def test_served_result_promoted_to_exact_cache(self, db):
         opt = Optimizer()
         a, b = _family(n=2)
@@ -525,8 +545,6 @@ class TestBatchSkeletonRouting:
         batch = BatchOptimizer(workers=4)
         assert (batch._fallback.plan_cache_max
                 == Optimizer.PLAN_CACHE_MAX * 4)
-        pinned = BatchOptimizer(workers=4, plan_cache_max=7)
-        assert pinned._fallback.plan_cache_max == 7
 
     def test_fallback_honors_escape_hatch(self):
         batch = BatchOptimizer(workers=2, abstract_cache=False)

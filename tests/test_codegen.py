@@ -33,7 +33,9 @@ from repro.exec import ir
 from repro.optimizer.optimizer import BACKENDS, Optimizer
 from repro.rewrite.pattern import canon
 from repro.rules.registry import standard_rulebase
-from repro.schema.generator import tiny_database
+from repro.schema.generator import (GeneratorConfig, generate_database,
+                                    tiny_database)
+from repro.workloads.corpus import _TEMPLATES
 
 DB = tiny_database()
 
@@ -72,6 +74,41 @@ class TestResultIdentity:
         got = compile_kernel(query).run(DB)
         assert type(got) is type(expected) and got == expected
         assert type(got) is type(fused) and got == fused
+
+    #: Join/nest and iterate-chain shapes whose cost the kernels exist
+    #: to cut; each must run as loops on both emitters, never through
+    #: the closure fallback.
+    BULK = [
+        "nest(pi1, pi2) o (unnest(pi1, pi2) >< id)"
+        " o <join(in @ (id >< cars), (id >< grgs)), pi1> ! [V, P]",
+        "join(eq @ (city o addr >< city o addr), <age o pi1, age o pi2>)"
+        " ! [P, P]",
+        "count o unnest(city o addr, grgs)"
+        " o iterate(gt @ <age, Kf(20)>, id) ! P",
+        "iterate(Kp(T), <id, count o iter(gt @ <age o pi2, age o pi1>,"
+        " pi2) o <id, Kf(P)>>) ! P",
+    ]
+    SCANS = [
+        "iterate(Kp(T), city o addr) ! P",
+        "iterate(Cp(lt, 25), id) o iterate(Kp(T), age) ! P",
+    ]
+
+    @pytest.mark.parametrize("text", BULK + SCANS)
+    def test_bulk_workload_on_a_larger_database(self, text):
+        """Direct evaluation, both closure-emitter modes and the kernel
+        agree on a |P|=120 database."""
+        db = generate_database(GeneratorConfig(
+            n_persons=120, n_vehicles=75, n_addresses=30, seed=2026))
+        query = _q(text)
+        expected = eval_obj(query, db)
+        plans = [compile_executable(query),
+                 compile_executable(query, columnar=True),
+                 compile_kernel(query)]
+        for plan in plans:
+            got = plan.run(db)
+            assert type(got) is type(expected) and got == expected
+        if text in self.BULK:
+            assert all(plan.fully_lowered for plan in plans)
 
     def test_sort_from_column(self):
         """The kernel's sort orders exactly as the closure emitter's
@@ -203,6 +240,31 @@ class TestParameterFamilies:
         assert instantiate_constants(skeleton, values) is term
         assert (compile_kernel(skeleton).run(DB, values)
                 == compile_kernel(term).run(DB))
+
+    def test_template_families_match_cold_compiles(self):
+        """One kernel per skeleton serves three passes over 25 members
+        of each corpus template exactly as compiling every member does;
+        one template fails under evaluation by design, and its error
+        must be shared too."""
+        def outcome(run):
+            try:
+                return "ok", run()
+            except EvalError:
+                return "error", None
+
+        queries = [_q(template.format(c=20 + offset))
+                   for _, template in _TEMPLATES for offset in range(25)]
+        kernels = {}
+        for query in queries * 3:
+            skeleton, values = abstract_constants(query)
+            if skeleton not in kernels:
+                kernels[skeleton] = compile_kernel(skeleton)
+            kernel = kernels[skeleton]
+            warm = outcome(lambda: kernel.run(DB, values))
+            cold = outcome(lambda: compile_kernel(query).run(DB))
+            assert warm[0] == cold[0], query
+            assert type(warm[1]) is type(cold[1]) and warm[1] == cold[1]
+        assert len(kernels) < len(queries)
 
     def test_wrong_arity_is_an_eval_error(self):
         skeleton, _ = abstract_constants(

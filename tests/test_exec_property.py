@@ -1,7 +1,7 @@
 """Property suite: fused execution is observationally identical to the
 direct operational-semantics evaluator.
 
-Two sources of queries:
+Three sources of queries:
 
 * Hypothesis draws from :func:`repro.fuzz.strategies.kola_queries` —
   the same grammar-directed generator the fuzz oracle replays, run
@@ -9,6 +9,7 @@ Two sources of queries:
   codegen kernels (compiled from the concrete query, and from its
   constant-abstracted skeleton run with the query's values, as the
   optimizer's kernel cache runs them);
+* a fixed-seed generated stream, the same on every run;
 * every anchor in ``tests/corpus/`` — the regression corpus of
   queries that once exposed a divergence anywhere in the stack.
 
@@ -26,6 +27,7 @@ from repro.core.eval import eval_obj
 from repro.core.terms import abstract_constants
 from repro.exec import compile_executable, compile_kernel
 from repro.fuzz.corpus import load_all
+from repro.fuzz.generator import generate_queries
 from repro.fuzz.strategies import kola_queries
 from repro.schema.generator import tiny_database
 
@@ -96,6 +98,23 @@ class TestGeneratedQueries:
     @given(query=kola_queries())
     def test_codegen_skeleton_matches_eval(self, query):
         _assert_codegen_agrees(query, skeleton=True)
+
+
+class TestFixedSeedStream:
+    """The same property over one fixed 500-query stream, so a
+    divergence there reproduces on every run, whatever examples
+    Hypothesis draws."""
+
+    STREAM = generate_queries(500, seed=2026)
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_fused_matches_eval(self, columnar):
+        for query in self.STREAM:
+            _assert_agrees(query, columnar=columnar)
+
+    def test_codegen_matches_eval(self):
+        for query in self.STREAM:
+            _assert_codegen_agrees(query, skeleton=False)
 
 
 def _corpus_anchors():

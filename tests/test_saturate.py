@@ -148,6 +148,45 @@ def kg1_match_work(rulebase, queries):
     return run, engine, work
 
 
+class TestSharing:
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_egraph_shares_ten_times_more_than_bfs(self, rulebase,
+                                                   queries, depth):
+        """The e-graph's reason to exist, as a count: ``depth`` rounds
+        from KG1 represent at least 10x more distinct terms per
+        allocated e-node than ``depth`` levels of breadth-first
+        rewriting store per hash-consed term node.  BFS stops at 4,000
+        terms, which can only undercount its reach."""
+        rules = rulebase.group_compiled("saturate")
+        engine = Engine()
+        run = Saturator(engine, rules, SaturationBudget(
+            max_iterations=depth)).run([queries.kg1])
+        per_enode = (run.egraph.represented_total(cap=10 ** 9)
+                     / run.egraph.enodes_allocated)
+        seen = {canon(queries.kg1)}
+        frontier = list(seen)
+        for _ in range(depth):
+            if len(seen) >= 4_000:
+                break
+            reached = []
+            for term in frontier:
+                for result in engine.successors(term, rules):
+                    if result.term not in seen:
+                        seen.add(result.term)
+                        reached.append(result.term)
+                if len(seen) >= 4_000:
+                    break
+            frontier = reached
+        nodes = set()
+        stack = list(seen)
+        while stack:
+            node = stack.pop()
+            if node not in nodes:
+                nodes.add(node)
+                stack.extend(node.args)
+        assert per_enode >= 10 * len(seen) / len(nodes)
+
+
 class TestMatchWork:
     """Deterministic work counts of the e-matcher and the driver;
     nothing is timed."""
@@ -277,6 +316,8 @@ class TestMatchWork:
         assert (report.iterations, report.enodes, report.classes,
                 report.rewrites_applied, report.merges, report.rule_bans,
                 report.match_truncations) == (8, 98, 29, 35, 69, 206, 7)
+        # An idle round whose pass was cut never saw every match.
+        assert report.saturated is False
         assert first.saturation == second.saturation
         assert first.best_term is second.best_term
         assert first.execute(tiny_db) == eval_obj(queries.k4, tiny_db)
@@ -542,11 +583,14 @@ class TestExtraction:
 class TestOptimizerSaturate:
     def test_never_worse_than_greedy_on_garage(self, rulebase, db,
                                                queries):
+        """The C4 workload (this query and the depth family below)
+        saturates well inside the default e-node budget."""
         opt = Optimizer(rulebase)
         greedy = opt.optimize(queries.kg1, db)
         saturate = opt.optimize(queries.kg1, db, search="saturate")
         assert saturate.estimated_cost <= greedy.estimated_cost
         assert isinstance(saturate.plan, JoinNestPlan)
+        assert saturate.saturation.budget_hit != "enodes"
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_never_worse_on_depth_family(self, rulebase, db, depth):
@@ -556,6 +600,7 @@ class TestOptimizerSaturate:
         greedy = opt.optimize(query, db)
         saturate = opt.optimize(query, db, search="saturate")
         assert saturate.estimated_cost <= greedy.estimated_cost
+        assert saturate.saturation.budget_hit != "enodes"
 
     def test_saturate_result_executes_correctly(self, rulebase, queries):
         opt = Optimizer(rulebase)
@@ -636,6 +681,8 @@ class TestPlanCache:
         saturate = opt.optimize(queries.kg1, db, search="saturate")
         assert saturate is not greedy
         assert opt.plan_cache_info()["misses"] == 2
+        assert opt.optimize(queries.kg1, db, search="saturate") is saturate
+        assert opt.plan_cache_info()["hits"] == 1
 
     def test_db_stats_change_invalidates(self, rulebase, queries):
         opt = Optimizer(rulebase)

@@ -22,18 +22,20 @@ import pytest
 import repro
 
 from repro.core.parser import parse_obj
+from repro.core.terms import abstract_constants
 from repro.fuzz.generator import generate_queries
 from repro.optimizer.optimizer import Optimizer
 from repro.parallel.batch import BatchOptimizer
 from repro.rewrite.pattern import canon
-from repro.schema.generator import tiny_database
+from repro.schema.generator import (GeneratorConfig, generate_database,
+                                    tiny_database)
 from repro.serve import (AsyncServeClient, PlanServer, ServeClient,
                          ServeError, ServingPool, PoolClosedError)
 from repro.serve.protocol import (FrameError, MAX_FRAME, encode_frame,
                                   query_body, read_frame,
                                   read_frame_sock, resolve_query)
 from repro.serve.stats import snapshot_summary, stats_snapshot
-from repro.workloads.corpus import corpus_stream, serving_corpus
+from repro.workloads.corpus import corpus_stream
 
 OQL = "select p.age from p in P where p.age > {c}"
 KOLA = "iterate(gt @ <age, Kf({c})>, id) ! P"
@@ -754,6 +756,67 @@ class TestProcessBackend:
             st.stop()
 
 
+def _families(count: int, seed: int = 2026) -> list:
+    """``count`` fuzz queries with ``count`` distinct skeletons."""
+    corpus, seen = [], set()
+    for query in generate_queries(4 * count, seed=seed):
+        term = canon(query)
+        skeleton = abstract_constants(term)[0]
+        if skeleton not in seen:
+            seen.add(skeleton)
+            corpus.append(term)
+            if len(corpus) == count:
+                return corpus
+    raise AssertionError(f"fewer than {count} skeleton families")
+
+
+@pytest.mark.slow
+class TestManyFamilies:
+    """The daemon on two workers serving many skeleton families (the
+    other daemon tests vary only constants, so they serve one family):
+    families spread over both slots, every served plan is the
+    sequential optimizer's, and a pipelined replay that repeats them
+    gets no error."""
+
+    @pytest.mark.parametrize("backend,families",
+                             [("thread", 40), ("process", 200)])
+    def test_replay_parity_and_health(self, tmp_path, backend, families):
+        db = generate_database(GeneratorConfig(
+            n_persons=30, n_vehicles=20, n_addresses=10, seed=2026))
+        corpus = _families(families)
+        sequential = Optimizer()
+        expected = [sequential.optimize(query, db) for query in corpus]
+        replay = corpus_stream(corpus, 2 * len(corpus))
+        path = str(tmp_path / "serve.sock")
+        st = _ServerThread(db=db, workers=2, backend=backend,
+                           unix_path=path)
+
+        async def run():
+            async with AsyncServeClient(unix_path=path) as client:
+                # One at a time, so each family's first request is a
+                # cold optimize on its worker.
+                fill = [await client.optimize(query) for query in corpus]
+                gate = asyncio.Semaphore(32)
+
+                async def one(query):
+                    async with gate:
+                        return await client.optimize(query, decode=False)
+
+                served = await asyncio.gather(*[one(q) for q in replay])
+                return fill, served
+
+        try:
+            fill, served = asyncio.run(asyncio.wait_for(run(), timeout=300))
+        finally:
+            st.stop()
+        assert len({reply.worker for reply in fill}) == 2
+        assert [index for index, (reply, want)
+                in enumerate(zip(fill, expected))
+                if not _results_match(reply.result, want)] == []
+        assert len(served) == len(replay)
+        assert all(reply.raw["ok"] for reply in served)
+
+
 def _children(pid: int) -> list[int]:
     found = []
     for task in pathlib.Path(f"/proc/{pid}/task").glob("*/children"):
@@ -816,43 +879,3 @@ class TestServeCommandSignals:
         assert not [pid for pid in started if _running(pid)]
         assert not path.exists()
         assert "shutting down" in log.read_text()
-
-
-# -- serving corpus ----------------------------------------------------------
-
-
-class TestServingCorpus:
-    def test_distinct_means_distinct_skeletons(self):
-        from repro.core.terms import abstract_constants
-        queries = serving_corpus(60, seed=5)
-        skeletons = {abstract_constants(q)[0] for q in queries}
-        assert len(queries) == len(skeletons) == 60
-
-    def test_deterministic(self):
-        assert serving_corpus(40, seed=9) == serving_corpus(40, seed=9)
-
-    def test_validates_input(self):
-        with pytest.raises(ValueError):
-            serving_corpus(0)
-
-    def test_every_query_evaluates(self, tiny_db):
-        """Each stage maps Persons to Persons, so every pipeline is
-        well typed (the pairing stage pairs first, then projects)."""
-        from repro.core.eval import run_query
-        for query in serving_corpus(400):
-            run_query(query, tiny_db)
-
-    def test_zipf_stream_is_skewed_and_deterministic(self):
-        queries = serving_corpus(50, seed=3)
-        stream = corpus_stream(queries, 500, seed=4, zipf=1.2)
-        assert len(stream) == 500
-        assert stream == corpus_stream(queries, 500, seed=4, zipf=1.2)
-        counts = sorted((stream.count(q) for q in set(stream)),
-                        reverse=True)
-        # Zipf head: the most popular query dwarfs the median.
-        assert counts[0] > 3 * counts[len(counts) // 2]
-
-    def test_zipf_validation(self):
-        queries = serving_corpus(5, seed=3)
-        with pytest.raises(ValueError):
-            corpus_stream(queries, 10, zipf=-1.0)

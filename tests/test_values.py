@@ -1,7 +1,13 @@
 """Unit tests for the runtime value domain."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.errors import EvalError
 from repro.core.values import (EMPTY_SET, Instance, KPair, as_bool, as_pair,
                                as_set, freeze, kset, value_repr)
@@ -46,6 +52,29 @@ class TestInstance:
 
     def test_repr(self):
         assert repr(Instance("Person", 3)) == "Person#3"
+
+    def test_error_names_one_element_under_every_hash_seed(self):
+        """Set order over instances does not depend on the process's
+        hash seed, so a failing query names the same element in a
+        daemon worker as in an in-process replay."""
+        script = (
+            "from repro.core.eval import eval_obj\n"
+            "from repro.core.parser import parse_obj\n"
+            "from repro.schema.generator import tiny_database\n"
+            "eval_obj(parse_obj('iterate(Kp(T), iterate(Kp(T), age)"
+            " o cars) ! P'), tiny_database())\n")
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        messages = set()
+        for seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONPATH=str(src),
+                       PYTHONHASHSEED=seed)
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True,
+                                 timeout=120)
+            assert run.returncode != 0
+            messages.add(run.stderr.strip().splitlines()[-1])
+        assert len(messages) == 1, messages
+        assert "not applicable to Vehicle#" in messages.pop()
 
 
 class TestCoercions:
